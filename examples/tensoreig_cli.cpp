@@ -1,7 +1,7 @@
 // tensoreig_cli: end-user command-line driver for the batched eigensolver.
 //
 //   $ ./tensoreig_cli --input voxels.tesymb [--backend gpu|cpu|cpu-parallel]
-//                     [--tier general|precomputed|cse|unrolled|jit|auto]
+//                     [--tier general|precomputed|unrolled|jit|auto]
 //                     [--starts 128] [--alpha 0] [--threads 4]
 //                     [--chunk 32] [--checkpoint run.tetc [--resume]]
 //                     [--spill-dir DIR] [--refine] [--max-peaks 4]
@@ -38,9 +38,7 @@ te::kernels::Tier parse_tier(const std::string& s) {
   using te::kernels::Tier;
   if (s == "general") return Tier::kGeneral;
   if (s == "precomputed") return Tier::kPrecomputed;
-  if (s == "cse") return Tier::kCse;
   if (s == "unrolled") return Tier::kUnrolled;
-  if (s == "blocked_par") return Tier::kBlockedPar;
   TE_REQUIRE(false, "unknown tier '" << s << "'");
   return Tier::kGeneral;
 }
@@ -95,7 +93,7 @@ int main(int argc, char** argv) {
     std::cerr
         << "usage: tensoreig_cli --input batch.{tesymb|tetc} [options]\n"
            "  --backend gpu|cpu|cpu-parallel   execution backend (gpu)\n"
-           "  --tier general|precomputed|cse|unrolled|jit|auto\n"
+           "  --tier general|precomputed|unrolled|jit|auto\n"
            "                 kernel tier (unrolled); 'jit' compiles a\n"
            "                 shape-specialized kernel via $TE_JIT_CC and\n"
            "                 falls back to precomputed when unavailable\n"

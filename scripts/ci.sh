@@ -106,24 +106,6 @@ cmake --build build -j "${JOBS}" --target bench_sshopm bench_kernels \
   --require-gauge kernels.multi.simd_width 1 \
   --require-gauge kernels.multi.autotune_width.general 1
 
-# Large-n smoke: the blocked_par tier at n up to 256 must stay bitwise
-# parity-clean against the general tier across 1/2/4-thread pools (the
-# bench exits nonzero on any mismatch, and on >= 4-core hosts also when
-# the 4-thread speedup at n = 256 misses 2x). The validator then gates the
-# published gauges: parity always; the speedup floor only where the host
-# has the cores to make it meaningful.
-echo "=== build: large-n blocked smoke (bench_kernels --blocked) ==="
-./build/bench/bench_kernels --blocked --benchmark_filter=NoSuchBench \
-  --benchmark_min_time=0.01 --metrics-json build/BENCH_blocked.json
-if [ "$(nproc 2>/dev/null || echo 1)" -ge 4 ]; then
-  ./build/tools/obs_json_check build/BENCH_blocked.json \
-    --require-gauge kernels.blocked.parity 1 \
-    --require-gauge kernels.blocked.speedup.t4 2
-else
-  ./build/tools/obs_json_check build/BENCH_blocked.json \
-    --require-gauge kernels.blocked.parity 1
-fi
-
 # Serve soak smoke: the service layer end to end. bench_serve runs the
 # fairness phase (DRR must keep the light tenant's p99 at least 2x below
 # the flooding tenant's), the admission phase (exact reject counts at a

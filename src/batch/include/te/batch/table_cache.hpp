@@ -95,8 +95,9 @@ class TableCache {
     return spill_path_locked(order, dim);
   }
 
-  /// Tables for one shape/tier. Tiers that never read tables (general, cse,
-  /// unrolled) return nullptr without touching the cache or its counters.
+  /// Tables for one shape/tier. Tiers that never read tables (general,
+  /// unrolled, jit) return nullptr without touching the cache or its
+  /// counters.
   /// The returned pointer remains valid after eviction (shared ownership).
   ///
   /// Safe for cross-shard sharing: the combinatorial build (and the spill

@@ -96,34 +96,13 @@ void IndexClassIterator::next() {
   }
   const index_t v = ++index_[static_cast<std::size_t>(j)];
   for (int k = j + 1; k < order_; ++k) index_[static_cast<std::size_t>(k)] = v;
-  last_changed_ = j;
   ++rank_;
 }
 
 void IndexClassIterator::reset() {
   index_.fill(0);
   rank_ = 0;
-  last_changed_ = 0;
   done_ = false;
-}
-
-ClassRankTable::ClassRankTable(int order, int dim)
-    : order_(order), dim_(dim) {
-  TE_REQUIRE(order >= 1 && dim >= 1, "order and dim must be positive");
-  TE_REQUIRE(shape_fits_offset(order, dim),
-             "ClassRankTable: shape [order=" << order << ", dim=" << dim
-                 << "] exceeds 64-bit offset capacity");
-  const std::size_t stride = static_cast<std::size_t>(dim) + 1;
-  prefix_.assign(static_cast<std::size_t>(order) * stride, 0);
-  for (int j = 0; j < order; ++j) {
-    offset_t* row = prefix_.data() + static_cast<std::size_t>(j) * stride;
-    offset_t acc = 0;
-    for (index_t v = 0; v < dim; ++v) {
-      row[v] = acc;
-      acc += count_suffixes(order - j - 1, v, dim);
-    }
-    row[dim] = acc;
-  }
 }
 
 std::vector<index_t> all_index_classes(int order, int dim) {

@@ -15,16 +15,12 @@ double AutotuneReport::best_us() const {
       return general_us;
     case Tier::kPrecomputed:
       return precomputed_us;
-    case Tier::kCse:
-      return cse_us;
     case Tier::kBlocked:
       return blocked_us;
     case Tier::kUnrolled:
       return unrolled_us;
     case Tier::kJit:
       return jit_us;
-    case Tier::kBlockedPar:
-      break;  // not an autotune candidate (thread-count dependent)
   }
   return -1;
 }
@@ -66,7 +62,6 @@ AutotuneReport autotune_tier(int order, int dim, int min_reps) {
 
   report.general_us = measure(Tier::kGeneral);
   report.precomputed_us = measure(Tier::kPrecomputed);
-  report.cse_us = measure(Tier::kCse);
   report.blocked_us = measure(Tier::kBlocked);
   report.unrolled_us = measure(Tier::kUnrolled);
   report.jit_us = measure(Tier::kJit);
@@ -83,7 +78,6 @@ AutotuneReport autotune_tier(int order, int dim, int min_reps) {
     }
   };
   consider(Tier::kPrecomputed, report.precomputed_us);
-  consider(Tier::kCse, report.cse_us);
   consider(Tier::kBlocked, report.blocked_us);
   consider(Tier::kUnrolled, report.unrolled_us);
   consider(Tier::kJit, report.jit_us);

@@ -7,14 +7,11 @@
 // and the batch backends pick a tier with a runtime enum while the kernels
 // themselves stay fully typed.
 
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 
 #include "te/kernels/blocked.hpp"
-#include "te/kernels/blocked_par.hpp"
-#include "te/kernels/cse.hpp"
 #include "te/kernels/general.hpp"
 #include "te/kernels/jit_registry.hpp"
 #include "te/kernels/precomputed.hpp"
@@ -25,22 +22,29 @@
 namespace te::kernels {
 
 /// Kernel implementation tier (paper Section V's "General" vs "Unrolled";
-/// kPrecomputed is the Section III-B.5 storage/compute trade; kCse is the
-/// Section V-D common-subexpression variant with prefix-sharing; kJit is
-/// the unrolled expansion generated, compiled and admitted at *runtime*
-/// for shapes the compile-time registry never saw).
+/// kPrecomputed is the Section III-B.5 storage/compute trade; kBlocked is
+/// its panel-order variant; kJit is the unrolled expansion generated,
+/// compiled and admitted at *runtime* for shapes the compile-time registry
+/// never saw).
+///
+/// The integer codes are persisted (checkpoint manifests and problem
+/// fingerprints store static_cast<int32_t>(tier)), so they never change;
+/// codes 2 and 5 belonged to removed tiers and stay unused.
 enum class Tier {
-  kGeneral,
-  kPrecomputed,
-  kCse,
-  kBlocked,
-  kUnrolled,
-  kBlockedPar,
-  kJit,
+  kGeneral = 0,
+  kPrecomputed = 1,
+  kBlocked = 3,
+  kUnrolled = 4,
+  kJit = 6,
 };
 
-/// Number of tiers (metrics arrays and tier sweeps size off this).
-inline constexpr int kNumTiers = 7;
+/// Every tier, in code order (metrics registration and tier sweeps).
+inline constexpr Tier kAllTiers[] = {Tier::kGeneral, Tier::kPrecomputed,
+                                     Tier::kBlocked, Tier::kUnrolled,
+                                     Tier::kJit};
+
+/// One past the largest tier code: size of arrays indexed by tier code.
+inline constexpr int kTierCodeLimit = static_cast<int>(Tier::kJit) + 1;
 
 [[nodiscard]] constexpr std::string_view tier_name(Tier t) {
   switch (t) {
@@ -48,14 +52,10 @@ inline constexpr int kNumTiers = 7;
       return "general";
     case Tier::kPrecomputed:
       return "precomputed";
-    case Tier::kCse:
-      return "cse";
     case Tier::kBlocked:
       return "blocked";
     case Tier::kUnrolled:
       return "unrolled";
-    case Tier::kBlockedPar:
-      return "blocked_par";
     case Tier::kJit:
       return "jit";
   }
@@ -67,18 +67,15 @@ namespace detail {
 /// Per-tier dispatch counters, name-resolved once: the per-call cost in the
 /// iteration hot loop is one relaxed atomic increment.
 struct DispatchMetrics {
-  obs::Counter* ttsv0_calls[kNumTiers];
-  obs::Counter* ttsv1_calls[kNumTiers];
+  obs::Counter* ttsv0_calls[kTierCodeLimit] = {};
+  obs::Counter* ttsv1_calls[kTierCodeLimit] = {};
 
   static DispatchMetrics& get() {
     static DispatchMetrics m = [] {
       DispatchMetrics d;
-      constexpr Tier kTiers[kNumTiers] = {
-          Tier::kGeneral,  Tier::kPrecomputed, Tier::kCse,
-          Tier::kBlocked,  Tier::kUnrolled,    Tier::kBlockedPar,
-          Tier::kJit};
-      for (int i = 0; i < kNumTiers; ++i) {
-        const std::string base(tier_name(kTiers[i]));
+      for (const Tier t : kAllTiers) {
+        const std::string base(tier_name(t));
+        const int i = static_cast<int>(t);
         d.ttsv0_calls[i] =
             &obs::global().counter("kernels.ttsv0.calls." + base);
         d.ttsv1_calls[i] =
@@ -113,14 +110,6 @@ template <Real T>
 template <Real T>
 [[nodiscard]] const UnrolledEntry<T>* find_unrolled(int order, int dim);
 
-/// Default block size for the blocked_par tier's internal repack: one
-/// block for paper-scale dims (the layout degenerates to the flat walk),
-/// 32-index blocks at large n so each block-class's x/y footprint stays
-/// cache-sized.
-[[nodiscard]] constexpr int default_block_dim(int dim) {
-  return dim < 32 ? dim : 32;
-}
-
 /// Tensor + tier bound together behind a uniform call interface.
 ///
 /// The bound tensor and (for kPrecomputed) tables must outlive the facade.
@@ -128,18 +117,14 @@ template <Real T>
 /// want graceful fallback should check find_unrolled first. kJit likewise
 /// requires an admitted runtime kernel (te::jit acquires, proves and
 /// registers them; jit::acquire_tier is the graceful-fallback entry point
-/// that degrades to kPrecomputed instead of throwing here). kBlockedPar
-/// repacks the tensor into the blocked layout at bind time and runs on the
-/// supplied ParallelExecutor (sequential when none given); its reusable
-/// workspace makes ttsv0/ttsv1 non-reentrant on one facade instance --
-/// share tensors across threads, not BoundKernels.
+/// that degrades to kPrecomputed instead of throwing here). The facade is
+/// immutable after construction and safe to share across threads.
 template <Real T>
 class BoundKernels {
  public:
   BoundKernels(const SymmetricTensor<T>& a, Tier tier,
-               const KernelTables<T>* tables = nullptr,
-               const ParallelExecutor* par = nullptr)
-      : a_(&a), tier_(tier), tables_(tables), par_(par) {
+               const KernelTables<T>* tables = nullptr)
+      : a_(&a), tier_(tier), tables_(tables) {
     if (tier == Tier::kPrecomputed || tier == Tier::kBlocked) {
       TE_REQUIRE(tables != nullptr &&
                      tables->order() == a.order() && tables->dim() == a.dim(),
@@ -155,10 +140,6 @@ class BoundKernels {
                  "no admitted JIT kernel for order "
                      << a.order() << ", dim " << a.dim()
                      << " (acquire via te::jit first)");
-    } else if (tier == Tier::kBlockedPar) {
-      blocked_ = std::make_shared<BlockedSymmetricTensor<T>>(
-          a, default_block_dim(a.dim()));
-      blocked_ws_ = std::make_shared<BlockedParWorkspace<T>>();
     }
   }
 
@@ -175,8 +156,6 @@ class BoundKernels {
         return ttsv0_general(*a_, x, ops);
       case Tier::kPrecomputed:
         return ttsv0_precomputed(*a_, *tables_, x, ops);
-      case Tier::kCse:
-        return ttsv0_cse(*a_, x, ops);
       case Tier::kBlocked:
         return ttsv0_blocked(*a_, *tables_, x, ops);
       case Tier::kUnrolled: {
@@ -187,9 +166,6 @@ class BoundKernels {
         if (ops) *ops += jit_->ops0;
         return jit_->ttsv0(a_->values().data(), x.data());
       }
-      case Tier::kBlockedPar:
-        return ttsv0_blocked_par(*blocked_, x, par_ ? *par_ : seq_executor(),
-                                 *blocked_ws_, ops);
     }
     TE_REQUIRE(false, "unreachable");
     return T(0);
@@ -208,9 +184,6 @@ class BoundKernels {
       case Tier::kPrecomputed:
         ttsv1_precomputed(*a_, *tables_, x, y, ops);
         return;
-      case Tier::kCse:
-        ttsv1_cse(*a_, x, y, ops);
-        return;
       case Tier::kBlocked:
         ttsv1_blocked(*a_, *tables_, x, y, ops);
         return;
@@ -222,17 +195,8 @@ class BoundKernels {
         if (ops) *ops += jit_->ops1;
         jit_->ttsv1(a_->values().data(), x.data(), y.data());
         return;
-      case Tier::kBlockedPar:
-        ttsv1_blocked_par(*blocked_, x, y, par_ ? *par_ : seq_executor(),
-                          *blocked_ws_, ops);
-        return;
     }
     TE_REQUIRE(false, "unreachable");
-  }
-
-  /// kBlockedPar only: the internal blocked repack of the bound tensor.
-  [[nodiscard]] const BlockedSymmetricTensor<T>* blocked() const {
-    return blocked_.get();
   }
 
  private:
@@ -241,9 +205,6 @@ class BoundKernels {
   const KernelTables<T>* tables_ = nullptr;
   const UnrolledEntry<T>* unrolled_ = nullptr;
   const JitEntry<T>* jit_ = nullptr;
-  const ParallelExecutor* par_ = nullptr;
-  std::shared_ptr<BlockedSymmetricTensor<T>> blocked_;
-  std::shared_ptr<BlockedParWorkspace<T>> blocked_ws_;
 };
 
 }  // namespace te::kernels

@@ -5,7 +5,7 @@
 // tensor, one tier and a lane width W, and routes ttsv0/ttsv1 calls over a
 // VectorBatch to the vectorized multi kernels where a bit-compatible one
 // exists (general, precomputed, unrolled-with-entry) or to a per-lane
-// scalar fallback otherwise (cse, blocked, unregistered unrolled widths).
+// scalar fallback otherwise (blocked, unregistered unrolled widths).
 // The fallback gathers each lane into a stack vector and calls the scalar
 // tier, so results are bitwise identical to the per-vector path by
 // construction -- only the vectorized routes trade bit-identity for the
@@ -79,20 +79,17 @@ template <Real T>
 namespace detail {
 /// Multi-dispatch counters/gauges, name-resolved once (cf. DispatchMetrics).
 struct MultiDispatchMetrics {
-  obs::Counter* ttsv0_calls[kNumTiers];
-  obs::Counter* ttsv1_calls[kNumTiers];
-  obs::Gauge* width_by_tier[kNumTiers];
+  obs::Counter* ttsv0_calls[kTierCodeLimit] = {};
+  obs::Counter* ttsv1_calls[kTierCodeLimit] = {};
+  obs::Gauge* width_by_tier[kTierCodeLimit] = {};
   obs::Gauge* simd_width;
 
   static MultiDispatchMetrics& get() {
     static MultiDispatchMetrics m = [] {
       MultiDispatchMetrics d;
-      constexpr Tier kTiers[kNumTiers] = {
-          Tier::kGeneral,  Tier::kPrecomputed, Tier::kCse,
-          Tier::kBlocked,  Tier::kUnrolled,    Tier::kBlockedPar,
-          Tier::kJit};
-      for (int i = 0; i < kNumTiers; ++i) {
-        const std::string base(tier_name(kTiers[i]));
+      for (const Tier t : kAllTiers) {
+        const std::string base(tier_name(t));
+        const int i = static_cast<int>(t);
         d.ttsv0_calls[i] =
             &obs::global().counter("kernels.ttsv0_multi.calls." + base);
         d.ttsv1_calls[i] =
@@ -141,9 +138,7 @@ class MultiKernels {
         case Tier::kJit:
           jit_multi_ = find_jit_multi<T>(a.order(), a.dim(), width_);
           break;
-        case Tier::kCse:
         case Tier::kBlocked:
-        case Tier::kBlockedPar:
           // No bit-compatible vectorized route; per-lane scalar fallback.
           break;
       }

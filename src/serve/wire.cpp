@@ -204,8 +204,7 @@ std::optional<double> wire_number(const std::string& json,
 std::optional<kernels::Tier> wire_tier(const std::string& name) {
   constexpr kernels::Tier kAll[] = {
       kernels::Tier::kGeneral,  kernels::Tier::kPrecomputed,
-      kernels::Tier::kCse,      kernels::Tier::kBlocked,
-      kernels::Tier::kUnrolled, kernels::Tier::kBlockedPar,
+      kernels::Tier::kBlocked,  kernels::Tier::kUnrolled,
   };
   for (const auto t : kAll) {
     if (name == kernels::tier_name(t)) return t;

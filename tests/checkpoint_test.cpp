@@ -11,35 +11,18 @@
 #include <fstream>
 
 #include "te/batch/scheduler.hpp"
+#include "te/io/checkpoint.hpp"
 #include "te/io/reader.hpp"
+#include "temp_path.hpp"
 
 namespace te::batch {
 namespace {
 
 using kernels::Tier;
 
-std::string tmp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::string("te_ckpt_test_") + name))
-      .string();
-}
-
-struct TmpFile {
-  explicit TmpFile(const char* name) : path(tmp_path(name)) {
-    std::filesystem::remove(path);
-  }
-  ~TmpFile() { std::filesystem::remove(path); }
-  std::string path;
-};
-
-struct TmpDir {
-  explicit TmpDir(const char* name) : path(tmp_path(name)) {
-    std::filesystem::remove_all(path);
-    std::filesystem::create_directories(path);
-  }
-  ~TmpDir() { std::filesystem::remove_all(path); }
-  std::string path;
-};
+using test::unique_temp_path;
+using test::TmpFile;
+using test::TmpDir;
 
 template <Real T>
 void expect_bitwise(const std::vector<sshopm::Result<T>>& a,
@@ -154,6 +137,47 @@ TEST(CheckpointResume, FingerprintMismatchIsRefused) {
   ok.run();
   expect_bitwise(solve_cpu_sequential(p, Tier::kBlocked).results,
                  ok.result(id).results, "pinned resume");
+}
+
+TEST(CheckpointResume, ManifestWithRemovedTierCodeIsRefused) {
+  // Tier codes 2 and 5 belonged to tiers that no longer exist. A log
+  // recorded under one of them pins a computation no surviving tier
+  // reproduces, so every resubmit is refused instead of replayed.
+  const auto p = BatchProblem<float>::random(67, 4, 2, 4, 3);
+  for (const std::int32_t code : {2, 5}) {
+    TmpFile ckpt("removed_tier.tetc");
+    {
+      io::Writer w(ckpt.path);
+      io::CheckpointJob job;
+      job.fingerprint = io::problem_fingerprint<float>(
+          p.order, p.dim, code, p.options,
+          std::span<const SymmetricTensor<float>>(p.tensors),
+          std::span<const std::vector<float>>(p.starts));
+      job.order = p.order;
+      job.dim = p.dim;
+      job.num_tensors = p.num_tensors();
+      job.num_starts = p.num_starts();
+      job.tier = code;
+      job.chunk_tensors = 2;
+      io::add_checkpoint_job_section(w, job);
+    }
+    SchedulerOptions opt;
+    opt.chunk_tensors = 2;
+    opt.checkpoint_path = ckpt.path;
+    for (const Tier tier : {Tier::kGeneral, Tier::kPrecomputed,
+                            Tier::kBlocked, Tier::kUnrolled}) {
+      Scheduler<float> s(Backend::kCpuSequential, opt);
+      try {
+        (void)s.submit(p, tier);
+        ADD_FAILURE() << "code " << code << " resumed as "
+                      << kernels::tier_name(tier);
+      } catch (const InvalidArgument& e) {
+        EXPECT_NE(std::string(e.what()).find("does not match"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(CheckpointResume, ChangedChunkingIsRefused) {
@@ -276,7 +300,7 @@ TEST(TableSpill, CorruptSpillFileFallsBackToBuilding) {
 TEST(TableSpill, UnwritableSpillDirIsSilentlyIgnored) {
   auto p = BatchProblem<float>::random(70, 2, 2, 4, 3);
   SchedulerOptions opt;
-  opt.table_spill_dir = tmp_path("does_not_exist_dir/nested");
+  opt.table_spill_dir = unique_temp_path("does_not_exist_dir/nested");
   Scheduler<float> s(Backend::kCpuSequential, opt);
   const JobId id = s.submit(p, Tier::kBlocked);
   s.run();  // spill failures never fail a solve

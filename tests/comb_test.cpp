@@ -273,5 +273,59 @@ TEST(CountSuffixes, MatchesDefinition) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Capacity precheck: int64 rank overflow at large (m, n).
+
+TEST(ShapeFitsOffset, AcceptsPaperScaleAndLargeN) {
+  EXPECT_TRUE(shape_fits_offset(3, 3));
+  EXPECT_TRUE(shape_fits_offset(4, 6));
+  EXPECT_TRUE(shape_fits_offset(3, 1024));
+  EXPECT_TRUE(shape_fits_offset(20, 1));
+  // n = 10^4: fine through order 5...
+  EXPECT_TRUE(shape_fits_offset(5, 10000));
+  // ...but order 6 would wrap the int64 rank arithmetic mid-sum.
+  EXPECT_FALSE(shape_fits_offset(6, 10000));
+}
+
+TEST(ShapeFitsOffset, RejectsInvalidAndOversized) {
+  EXPECT_FALSE(shape_fits_offset(0, 5));
+  EXPECT_FALSE(shape_fits_offset(3, 0));
+  EXPECT_FALSE(shape_fits_offset(21, 2));  // past kMaxFactorialArg
+  EXPECT_FALSE(shape_fits_offset(8, 1000000));
+}
+
+TEST(CheckedBinomial, MatchesBinomialInRangeAndProbesOverflow) {
+  EXPECT_EQ(checked_binomial(10, 3).value(), binomial(10, 3));
+  EXPECT_EQ(checked_binomial(5, 7).value(), 0);
+  EXPECT_EQ(checked_binomial(10004, 5).value(), binomial(10004, 5));
+  EXPECT_FALSE(checked_binomial(10005, 6).has_value());
+}
+
+TEST(CapacityPrecheck, RankAndUnrankRejectOverflowShapesClearly) {
+  std::vector<index_t> idx(6, 9999);
+  EXPECT_THROW((void)index_class_rank({idx.data(), idx.size()}, 10000),
+               InvalidArgument);
+  EXPECT_THROW((void)index_class_unrank(0, 6, 10000), InvalidArgument);
+}
+
+TEST(LargeDimRank, RoundTripAtTenThousand) {
+  const int n = 10000;
+  for (const int m : {2, 3, 5}) {
+    const offset_t u = num_unique_entries(m, n);
+    for (const offset_t r : {offset_t{0}, u - 1, u / 2, u / 3, offset_t{1}}) {
+      const auto idx = index_class_unrank(r, m, n);
+      EXPECT_EQ(index_class_rank({idx.data(), idx.size()}, n), r)
+          << "m=" << m << " rank=" << r;
+    }
+    // First class is all-zero, last is all n-1.
+    const auto first = index_class_unrank(0, m, n);
+    const auto last = index_class_unrank(u - 1, m, n);
+    for (int j = 0; j < m; ++j) {
+      EXPECT_EQ(first[static_cast<std::size_t>(j)], 0);
+      EXPECT_EQ(last[static_cast<std::size_t>(j)], n - 1);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace te::comb

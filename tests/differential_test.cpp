@@ -24,9 +24,8 @@ using kernels::Tier;
 
 constexpr std::array<Backend, 3> kBackends = {
     Backend::kCpuSequential, Backend::kCpuParallel, Backend::kGpuSim};
-constexpr std::array<Tier, 6> kTiers = {Tier::kGeneral,  Tier::kPrecomputed,
-                                        Tier::kCse,      Tier::kBlocked,
-                                        Tier::kUnrolled, Tier::kBlockedPar};
+constexpr std::array<Tier, 4> kTiers = {Tier::kGeneral, Tier::kPrecomputed,
+                                        Tier::kBlocked, Tier::kUnrolled};
 
 [[nodiscard]] bool tier_supported(Backend b, Tier tier) {
   if (b != Backend::kGpuSim) return true;

@@ -19,23 +19,13 @@
 #include "te/io/container.hpp"
 #include "te/tensor/generators.hpp"
 #include "te/util/rng.hpp"
+#include "temp_path.hpp"
 
 namespace te::io {
 namespace {
 
-std::string tmp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::string("te_io_corrupt_") + name))
-      .string();
-}
-
-struct TmpFile {
-  explicit TmpFile(const char* name) : path(tmp_path(name)) {
-    std::filesystem::remove(path);
-  }
-  ~TmpFile() { std::filesystem::remove(path); }
-  std::string path;
-};
+using test::unique_temp_path;
+using test::TmpFile;
 
 std::vector<std::byte> slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

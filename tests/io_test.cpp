@@ -16,24 +16,13 @@
 #include "te/tensor/generators.hpp"
 #include "te/util/rng.hpp"
 #include "te/util/sphere.hpp"
+#include "temp_path.hpp"
 
 namespace te::io {
 namespace {
 
-std::string tmp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::string("te_io_test_") + name))
-      .string();
-}
-
-/// RAII temp file: removed on scope exit so tests don't leak state.
-struct TmpFile {
-  explicit TmpFile(const char* name) : path(tmp_path(name)) {
-    std::filesystem::remove(path);
-  }
-  ~TmpFile() { std::filesystem::remove(path); }
-  std::string path;
-};
+using test::unique_temp_path;
+using test::TmpFile;
 
 template <Real T>
 std::vector<SymmetricTensor<T>> random_batch(std::uint64_t seed, int count,
@@ -195,7 +184,7 @@ TEST(IoFraming, IoErrorCarriesContainerAndOffsetContext) {
     EXPECT_NE(what.find("offset"), std::string::npos) << what;
   }
   // IoError is part of the library-wide exception family.
-  EXPECT_THROW((void)MappedFile(tmp_path("does_not_exist.tetc")),
+  EXPECT_THROW((void)MappedFile(unique_temp_path("does_not_exist.tetc")),
                InvalidArgument);
 }
 
@@ -337,8 +326,8 @@ TEST(IoKernelTables, TryLoadFiltersByShapeAndSurvivesMissingFiles) {
   // ...returns nullopt (never throws) for absent shapes and absent files.
   EXPECT_FALSE(try_load_kernel_tables<float>(f.path, 6, 3).has_value());
   EXPECT_FALSE(try_load_kernel_tables<double>(f.path, 4, 3).has_value());
-  EXPECT_FALSE(
-      try_load_kernel_tables<float>(tmp_path("nope.tetc"), 4, 3).has_value());
+  const std::string nope = unique_temp_path("nope.tetc");
+  EXPECT_FALSE(try_load_kernel_tables<float>(nope, 4, 3).has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -484,7 +473,7 @@ TEST(IoCheckpoint, LogRoundTripsJobsAndChunksAndTruncatesTornTails) {
   while (strict.next()) ++n;
   EXPECT_EQ(n, 2);
 
-  const auto missing = load_checkpoint<float>(tmp_path("no_wal.tetc"));
+  const auto missing = load_checkpoint<float>(unique_temp_path("no_wal.tetc"));
   EXPECT_FALSE(missing.present);
 }
 

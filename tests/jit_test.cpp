@@ -23,8 +23,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdlib>
 #include <filesystem>
 #include <span>
@@ -41,6 +39,7 @@
 #include "te/kernels/precomputed.hpp"
 #include "te/tensor/symmetric_tensor.hpp"
 #include "te/util/rng.hpp"
+#include "temp_path.hpp"
 
 namespace te {
 namespace {
@@ -60,15 +59,6 @@ struct ScopedCompiler {
   ScopedCompiler() { ::setenv(jit::kCompilerEnv, TE_TEST_HOST_CXX, 1); }
   ~ScopedCompiler() { ::unsetenv(jit::kCompilerEnv); }
 };
-
-std::string fresh_dir(const std::string& tag) {
-  const fs::path dir =
-      fs::temp_directory_path() / ("te_jit_test_" + tag + "_" +
-                                   std::to_string(::getpid()));
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
 
 // Exact-integer tensor/vector so parity can be asserted BITWISE: every
 // partial product and sum stays an integer below 2^24 at the shapes used
@@ -173,7 +163,8 @@ void expect_parity() {
 TEST(JitParityTest, BitwiseAgainstGeneralAndPrecomputed) {
   if (!host_compiler_available()) GTEST_SKIP() << "no host compiler";
   ScopedCompiler cc;
-  jit::set_cache_dir(fresh_dir("parity"));
+  const test::TmpDir dir("parity");
+  jit::set_cache_dir(dir.path);
 
   const auto rd = jit::acquire<double>(kM, kN);
   ASSERT_TRUE(rd.available) << rd.error;
@@ -193,7 +184,8 @@ TEST(JitAutotuneTest, TimesAdmittedJitWidths) {
   ScopedCompiler cc;
   // The tuner runs in float; after the parity test this is an in-process
   // registry fast path, standalone it is a fresh compile.
-  jit::set_cache_dir(fresh_dir("autotune"));
+  const test::TmpDir dir("autotune");
+  jit::set_cache_dir(dir.path);
   ASSERT_TRUE(jit::acquire<float>(kM, kN).available);
 
   const auto rep =
@@ -231,7 +223,8 @@ TEST(JitCacheTest, ChildWarmLoad) {
 TEST(JitCacheTest, ColdThenChildWarmLoad) {
   if (!host_compiler_available()) GTEST_SKIP() << "no host compiler";
   ScopedCompiler cc;
-  const std::string dir = fresh_dir("warm");
+  const test::TmpDir tmp("warm");
+  const std::string& dir = tmp.path;
   jit::set_cache_dir(dir);
 
   const auto cold = jit::acquire<double>(kWarmM, kWarmN);
@@ -265,7 +258,7 @@ class JitDefectTest : public ::testing::Test {
   void SetUp() override {
     if (!host_compiler_available()) GTEST_SKIP() << "no host compiler";
     ::setenv(jit::kCompilerEnv, TE_TEST_HOST_CXX, 1);
-    jit::set_cache_dir(fresh_dir("defect"));
+    jit::set_cache_dir(dir_.path);
     jit::CodegenRequest req;
     req.order = 3;
     req.dim = 4;
@@ -289,6 +282,7 @@ class JitDefectTest : public ::testing::Test {
     return s;
   }
 
+  test::TmpDir dir_{"defect"};
   std::string source_;
 };
 
@@ -350,7 +344,8 @@ TEST(JitFallbackTest, NoCompilerNoCacheFallsBackToPrecomputed) {
   // Shape used nowhere else in this binary, empty cache dir, no compiler:
   // the envelope is in range, but nothing can be built or loaded.
   ::unsetenv(jit::kCompilerEnv);
-  jit::set_cache_dir(fresh_dir("fallback"));
+  const test::TmpDir dir("fallback");
+  jit::set_cache_dir(dir.path);
   ASSERT_TRUE(jit::jit_supported(4, 7));
   EXPECT_EQ(jit::acquire_tier<double>(4, 7), kernels::Tier::kPrecomputed);
   EXPECT_EQ(kernels::find_jit<double>(4, 7), nullptr);

@@ -385,5 +385,33 @@ TEST(KernelTables, StorageOverheadNearPaperEstimate) {
   EXPECT_LT(elems_per_class, 24.0);  // small constant factor
 }
 
+TEST(LargeDim, GeneralHeapAccumulatorMatchesPrecomputed) {
+  // dim > 64 takes ttsv1's heap-accumulator fallback in both table-free and
+  // table-driven walks. Exact-integer inputs keep every term and partial
+  // sum an integer well inside double exactness, so the two tiers must
+  // agree BITWISE whatever their summation order.
+  const int m = 3;
+  const int n = 96;
+  const CounterRng rng(4242);
+  SymmetricTensor<double> a(m, n);
+  auto vals = a.values();
+  for (std::size_t i = 0; i < vals.size(); ++i) {
+    vals[i] = static_cast<double>(static_cast<int>(rng.in(11, i, -4.0, 4.0)));
+  }
+  std::vector<double> x(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = static_cast<double>(static_cast<int>(rng.in(12, i, -2.0, 3.0)));
+  }
+  const KernelTables<double> tables(m, n);
+  std::vector<double> y_gen(x.size());
+  std::vector<double> y_pre(x.size());
+  ttsv1_general(a, {x.data(), x.size()}, {y_gen.data(), y_gen.size()});
+  ttsv1_precomputed(a, tables, {x.data(), x.size()},
+                    {y_pre.data(), y_pre.size()});
+  EXPECT_EQ(y_gen, y_pre);
+  EXPECT_EQ(ttsv0_general(a, {x.data(), x.size()}),
+            ttsv0_precomputed(a, tables, {x.data(), x.size()}));
+}
+
 }  // namespace
 }  // namespace te::kernels

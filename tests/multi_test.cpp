@@ -216,36 +216,32 @@ TEST_P(MultiKernelTest, UnrolledTierMatchesScalarWithinTolerance) {
   }
 }
 
-// Tiers without a vectorized route (cse, blocked) gather each lane through
-// the scalar kernels, so every width is bitwise identical by construction.
+// The blocked tier has no vectorized route: it gathers each lane through
+// the scalar kernel, so every width is bitwise identical by construction.
 TEST_P(MultiKernelTest, FallbackTiersAreBitwiseForEveryWidth) {
   const auto [m, n] = GetParam();
   CounterRng rng(203);
   const auto a = random_symmetric_tensor<double>(rng, 0, m, n);
   kernels::KernelTables<double> tab(m, n);
-  for (Tier tier : {Tier::kCse, Tier::kBlocked}) {
-    const kernels::KernelTables<double>* tables =
-        tier == Tier::kBlocked ? &tab : nullptr;
-    kernels::BoundKernels<double> scalar(a, tier, tables);
-    for (int width : kernels::multi_widths()) {
-      MultiKernels<double> multi(a, tier, tables, width);
-      EXPECT_FALSE(multi.vectorized());
-      auto x = random_batch<double>(n, width,
-                                    600 + static_cast<std::uint64_t>(width));
-      std::vector<double> out(static_cast<std::size_t>(width));
-      VectorBatch<double> y(n, width);
-      multi.ttsv0(x, {out.data(), out.size()});
-      multi.ttsv1(x, y);
-      std::vector<double> sx(static_cast<std::size_t>(n)),
-          sy(static_cast<std::size_t>(n));
-      for (int w = 0; w < width; ++w) {
-        x.store_lane(w, {sx.data(), sx.size()});
-        EXPECT_EQ(out[static_cast<std::size_t>(w)],
-                  scalar.ttsv0({sx.data(), sx.size()}));
-        scalar.ttsv1({sx.data(), sx.size()}, {sy.data(), sy.size()});
-        for (int i = 0; i < n; ++i) {
-          EXPECT_EQ(y.at(i, w), sy[static_cast<std::size_t>(i)]);
-        }
+  kernels::BoundKernels<double> scalar(a, Tier::kBlocked, &tab);
+  for (int width : kernels::multi_widths()) {
+    MultiKernels<double> multi(a, Tier::kBlocked, &tab, width);
+    EXPECT_FALSE(multi.vectorized());
+    auto x = random_batch<double>(n, width,
+                                  600 + static_cast<std::uint64_t>(width));
+    std::vector<double> out(static_cast<std::size_t>(width));
+    VectorBatch<double> y(n, width);
+    multi.ttsv0(x, {out.data(), out.size()});
+    multi.ttsv1(x, y);
+    std::vector<double> sx(static_cast<std::size_t>(n)),
+        sy(static_cast<std::size_t>(n));
+    for (int w = 0; w < width; ++w) {
+      x.store_lane(w, {sx.data(), sx.size()});
+      EXPECT_EQ(out[static_cast<std::size_t>(w)],
+                scalar.ttsv0({sx.data(), sx.size()}));
+      scalar.ttsv1({sx.data(), sx.size()}, {sy.data(), sy.size()});
+      for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(y.at(i, w), sy[static_cast<std::size_t>(i)]);
       }
     }
   }
@@ -277,9 +273,8 @@ TEST(MultiKernels, WidthResolutionAndValidation) {
                InvalidArgument);
   EXPECT_THROW(MultiKernels<double>(a, Tier::kGeneral, nullptr, 64),
                InvalidArgument);
-  // Fallback tiers autopick width 1 (a wider batch would only add gather
-  // overhead with no amortization).
-  EXPECT_EQ(kernels::pick_simd_width<double>(3, 4, Tier::kCse), 1);
+  // The fallback tier autopicks width 1 (a wider batch would only add
+  // gather overhead with no amortization).
   EXPECT_EQ(kernels::pick_simd_width<double>(3, 4, Tier::kBlocked), 1);
 }
 
@@ -383,7 +378,6 @@ TEST_P(SolveMultiTest, MatchesScalarSolveAcrossTiersAndPartialBlocks) {
   const TierCase cases[] = {
       {Tier::kGeneral, nullptr},
       {Tier::kPrecomputed, &tab},
-      {Tier::kCse, nullptr},
       {Tier::kBlocked, &tab},
   };
   for (const auto& c : cases) {
@@ -400,7 +394,7 @@ TEST_P(SolveMultiTest, MatchesScalarSolveAcrossTiersAndPartialBlocks) {
     // Classification is exact for every tier -- and because the lane
     // iterate lives contiguously in Result::x and goes through solve()'s
     // own update/normalize code shape, the lane-exact kernel routes
-    // (general/precomputed vector routes, cse/blocked per-lane fallback)
+    // (general/precomputed vector routes, blocked per-lane fallback)
     // make the whole run bitwise identical to the scalar path.
     expect_slot_parity(got, ref, 0.0, kernels::tier_name(c.tier).data());
   }
@@ -643,10 +637,10 @@ TEST(AutotuneMultiWidth, ReportsValidWidthAndMeasuresEveryCandidate) {
   }
   // Fallback tiers have no vectorized candidates: the scalar math plus
   // gather overhead can never beat width 1, so only width 1 is timed.
-  const auto cse = kernels::autotune_multi_width(3, 4, Tier::kCse, 2);
-  EXPECT_EQ(cse.best_width, 1);
-  ASSERT_EQ(cse.lane_us.size(), 1u);
-  EXPECT_EQ(cse.lane_us.front().first, 1);
+  const auto blocked = kernels::autotune_multi_width(3, 4, Tier::kBlocked, 2);
+  EXPECT_EQ(blocked.best_width, 1);
+  ASSERT_EQ(blocked.lane_us.size(), 1u);
+  EXPECT_EQ(blocked.lane_us.front().first, 1);
 }
 
 TEST(ObsExport, ReadExportGaugeFindsGaugesAndRejectsGarbage) {

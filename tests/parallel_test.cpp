@@ -195,5 +195,21 @@ TEST(CpuModel, PeakFlopsMatchPaperNehalem) {
   EXPECT_EQ(spec.total_cores(), 8);
 }
 
+TEST(ThreadPoolRange, EmptyRangeIsCompleteNoOp) {
+  ThreadPool pool(3);
+  int calls = 0;
+  pool.submit_range(5, 5, [&](std::int64_t, std::int64_t, int) { ++calls; });
+  pool.submit_range(7, 3, [&](std::int64_t, std::int64_t, int) { ++calls; });
+  pool.parallel_chunks(0, [&](std::int64_t, std::int64_t, int) { ++calls; });
+  pool.parallel_for(0, [&](std::int64_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
+  // The pool still works afterwards.
+  std::atomic<int> sum{0};
+  pool.parallel_for(10, [&](std::int64_t i) {
+    sum += static_cast<int>(i);
+  });
+  EXPECT_EQ(sum.load(), 45);
+}
+
 }  // namespace
 }  // namespace te

@@ -19,6 +19,7 @@
 #include "te/tensor/generators.hpp"
 #include "te/util/rng.hpp"
 #include "te/util/sphere.hpp"
+#include "temp_path.hpp"
 
 namespace te {
 namespace {
@@ -264,10 +265,8 @@ TEST_P(SeedSweep, ContainerRoundTripIsBitwiseOnBothReadPaths) {
     tensors.push_back(random_symmetric_tensor<double>(
         rng, 10 + static_cast<std::uint64_t>(i), order, dim));
   }
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("te_prop_roundtrip_" + std::to_string(seed) + ".tetc"))
-          .string();
+  const test::TmpFile file("roundtrip.tetc");
+  const std::string& path = file.path;
   io::save_tensors<double>(
       path, std::span<const SymmetricTensor<double>>(tensors));
 
@@ -295,7 +294,6 @@ TEST_P(SeedSweep, ContainerRoundTripIsBitwiseOnBothReadPaths) {
     EXPECT_EQ(ra.x, rb.x) << "tensor " << i;
     EXPECT_EQ(ra.iterations, rb.iterations) << "tensor " << i;
   }
-  std::filesystem::remove(path);
 }
 
 TEST_P(SeedSweep, ConvergedSshopmPairsBelongToQrstSpectrum) {

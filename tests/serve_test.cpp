@@ -22,6 +22,7 @@
 #include "te/serve/server.hpp"
 #include "te/serve/socket.hpp"
 #include "te/serve/wire.hpp"
+#include "temp_path.hpp"
 
 namespace te::serve {
 namespace {
@@ -30,20 +31,8 @@ using batch::BatchProblem;
 using batch::Backend;
 using kernels::Tier;
 
-std::string tmp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::string("te_serve_test_") + name))
-      .string();
-}
-
-struct TmpDir {
-  explicit TmpDir(const char* name) : path(tmp_path(name)) {
-    std::filesystem::remove_all(path);
-    std::filesystem::create_directories(path);
-  }
-  ~TmpDir() { std::filesystem::remove_all(path); }
-  std::string path;
-};
+using test::unique_temp_path;
+using test::TmpDir;
 
 template <Real T>
 void expect_bitwise(const std::vector<sshopm::Result<T>>& a,
@@ -497,8 +486,27 @@ TEST(ServeWire, ParsesFlatFields) {
   EXPECT_EQ(wire_number(line, "seed").value(), 7.0);
   EXPECT_FALSE(wire_string(line, "missing").has_value());
   EXPECT_FALSE(wire_number(line, "tenant").has_value());
-  EXPECT_EQ(wire_tier("blocked_par").value(), Tier::kBlockedPar);
+  EXPECT_EQ(wire_tier("blocked").value(), Tier::kBlocked);
   EXPECT_FALSE(wire_tier("warp9").has_value());
+}
+
+TEST(ServeWire, RemovedTierNamesGetUnknownTierError) {
+  Server<float> server(small_options());
+  for (const char* name : {"cse", "blocked_par"}) {
+    EXPECT_FALSE(wire_tier(name).has_value()) << name;
+    const auto resp = handle_line(
+        server,
+        std::string("{\"op\":\"submit\",\"tenant\":\"w\",\"seed\":1,"
+                    "\"tensors\":1,\"starts\":1,\"order\":3,\"dim\":4,"
+                    "\"tier\":\"") +
+            name + "\"}");
+    const auto error = wire_string(resp, "error");
+    ASSERT_TRUE(error.has_value()) << resp;
+    EXPECT_NE(error->find("unknown tier '" + std::string(name) + "'"),
+              std::string::npos)
+        << resp;
+  }
+  EXPECT_EQ(server.stats().submitted, 0);
 }
 
 TEST(ServeWire, SubmitWaitStatsCancelRoundTrip) {
@@ -528,7 +536,7 @@ TEST(ServeWire, SubmitWaitStatsCancelRoundTrip) {
 TEST(ServeSocket, LineProtocolOverAfUnix) {
   Server<float> server(small_options());
   server.start();
-  const std::string path = tmp_path("sock");
+  const std::string path = unique_temp_path("sock");
   SocketFrontEnd front(server, path);
   const auto submit = request_over_socket(
       path,
@@ -545,7 +553,7 @@ TEST(ServeSocket, LineProtocolOverAfUnix) {
 TEST(ServeSocket, StopIsPromptWithAnIdleClientConnected) {
   Server<float> server(small_options());
   server.start();
-  const std::string path = tmp_path("idle_sock");
+  const std::string path = unique_temp_path("idle_sock");
   SocketFrontEnd front(server, path);
   // A client that connects and never sends a byte: before the connection
   // loop polled with a timeout, stop() hung forever in thread_.join().

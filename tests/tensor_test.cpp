@@ -240,5 +240,10 @@ TEST(TensorIo, RejectsTruncatedValues) {
   EXPECT_THROW((void)read_tensor<double>(ss), InvalidArgument);
 }
 
+TEST(CapacityPrecheck, TensorConstructionRejectsOverflowShape) {
+  // (6, 10^4) would wrap the int64 rank arithmetic (comb::shape_fits_offset).
+  EXPECT_THROW((SymmetricTensor<double>(6, 10000)), InvalidArgument);
+}
+
 }  // namespace
 }  // namespace te
