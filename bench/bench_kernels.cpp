@@ -193,9 +193,9 @@ BENCHMARK(BM_Ttsv0_DenseContract)->Apply(args_shapes);
 
 void BM_Ttsv0_Dispatch(benchmark::State& state) {
   // Through the runtime-tier facade (what SS-HOPM actually calls): measures
-  // dispatch overhead over the direct calls above, and populates the
-  // kernels.ttsv0.calls.* observability counters the --metrics-json dump
-  // reports.
+  // dispatch overhead over the direct calls above. The facade carries no
+  // instrumentation, so these calls do not feed kernels.ttsv0.calls.*;
+  // only SS-HOPM runs do.
   Fixture f(static_cast<int>(state.range(0)),
             static_cast<int>(state.range(1)));
   const auto tier = static_cast<kernels::Tier>(state.range(2));

@@ -12,9 +12,23 @@
 //   cmake -B build -DTE_OBS=ON  && ./build/bench/bench_obs_overhead
 //   cmake -B build-noobs -DTE_OBS=OFF && ./build-noobs/bench/bench_obs_overhead
 //
-// Flags: --solves N (default 20000) --repeats R (default 3).
+// With --threads T, T threads run the same solve loop at once, each into
+// the shared global registry, and the bench reports ns/solve per thread
+// (the slowest thread of each repeat). Metrics that several threads write
+// through one cache line show up as a per-thread figure that grows with T;
+// per-thread cells keep it flat. CI gates the T = min(4, nproc) figure
+// against the T = 1 figure with --solves 200000: each thread's loop must
+// run long (~0.1 s) next to the few milliseconds the OS takes to spread
+// freshly started threads over the cores.
+//
+// Flags: --solves N (default 20000) --repeats R (default 3)
+//        --threads T (default 1, at most 64).
 
+#include <algorithm>
 #include <cstdio>
+#include <latch>
+#include <thread>
+#include <vector>
 
 #include "bench_common.hpp"
 
@@ -24,6 +38,13 @@ int main(int argc, char** argv) {
   CliArgs args(argc, argv);
   const long solves = args.get_or("solves", 20000L);
   const long repeats = args.get_or("repeats", 3L);
+  const long threads = args.get_or("threads", 1L);
+  if (solves < 1 || repeats < 1 || threads < 1 || threads > 64) {
+    std::fprintf(stderr,
+                 "usage: bench_obs_overhead [--solves N>=1] [--repeats R>=1] "
+                 "[--threads 1..64]\n");
+    return 2;
+  }
 
   std::printf("obs mode: %s\n", TE_OBS_ENABLED ? "enabled" : "disabled");
 
@@ -31,7 +52,7 @@ int main(int argc, char** argv) {
   // i.e. the workload where fixed per-call instrumentation cost would be
   // most visible.
   const auto a = random_symmetric_tensor<float>(CounterRng(7), 43, 4, 3);
-  kernels::BoundKernels<float> k(a, kernels::Tier::kUnrolled);
+  const kernels::BoundKernels<float> k(a, kernels::Tier::kUnrolled);
   const float x0[3] = {0.26f, 0.74f, 0.62f};
   sshopm::Options opt;
   opt.alpha = 1.0;
@@ -41,18 +62,48 @@ int main(int argc, char** argv) {
   // loops below see only the steady-state cost.
   volatile float sink = sshopm::solve(k, {x0, 3}, opt).lambda;
 
-  double best_ns = 0;
-  for (long rep = 0; rep < repeats; ++rep) {
+  // One thread's timed loop; returns its ns/solve. `keep` (one slot per
+  // thread) holds the results so the solves cannot be elided.
+  const auto run_loop = [&](volatile float& keep) {
     WallTimer timer;
     for (long i = 0; i < solves; ++i) {
-      sink = sink + sshopm::solve(k, {x0, 3}, opt).lambda;
+      keep = keep + sshopm::solve(k, {x0, 3}, opt).lambda;
     }
-    const double ns = timer.seconds() * 1e9 / static_cast<double>(solves);
+    return timer.seconds() * 1e9 / static_cast<double>(solves);
+  };
+
+  double best_ns = 0;
+  for (long rep = 0; rep < repeats; ++rep) {
+    double ns = 0;
+    if (threads == 1) {
+      ns = run_loop(sink);
+    } else {
+      // All threads start together, so their loops overlap.
+      std::vector<double> per_thread(static_cast<std::size_t>(threads));
+      // Padded so the threads' result stores never share a cache line.
+      struct alignas(64) Slot {
+        volatile float v = 0;
+      };
+      std::vector<Slot> keep(static_cast<std::size_t>(threads));
+      std::latch start(threads);
+      std::vector<std::thread> pool;
+      pool.reserve(static_cast<std::size_t>(threads));
+      for (long t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] {
+          const auto i = static_cast<std::size_t>(t);
+          start.arrive_and_wait();
+          per_thread[i] = run_loop(keep[i].v);
+        });
+      }
+      for (auto& th : pool) th.join();
+      for (const double v : per_thread) ns = std::max(ns, v);
+    }
     if (rep == 0 || ns < best_ns) best_ns = ns;
     std::printf("repeat %ld: %.1f ns/solve\n", rep, ns);
   }
-  std::printf("best: %.1f ns/solve over %ld solves x %ld repeats\n", best_ns,
-              solves, repeats);
+  std::printf("best: %.1f ns/solve per thread over %ld solves x %ld repeats "
+              "x %ld threads\n",
+              best_ns, solves, repeats, threads);
 
   const obs::Snapshot snap = obs::global().snapshot();
 #if TE_OBS_ENABLED

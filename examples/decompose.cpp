@@ -118,11 +118,18 @@ int main(int argc, char** argv) {
         best = std::min(best, std::acos(std::min(1.0, std::abs(dp))) * 180 /
                                   3.14159265358979);
       }
+      // Appended piecewise: `"(" + std::string&&` inlines an insert that
+      // trips a GCC 12 -Wrestrict false positive.
+      std::string dir = "(";
+      dir += fmt_fixed(xd[0], 3);
+      dir += ", ";
+      dir += fmt_fixed(xd[1], 3);
+      dir += ", ";
+      dir += fmt_fixed(xd[2], 3);
+      dir += ")";
       t.add_row({std::to_string(r),
                  fmt_fixed(cp.terms[static_cast<std::size_t>(r)].weight, 4),
-                 "(" + fmt_fixed(xd[0], 3) + ", " + fmt_fixed(xd[1], 3) +
-                     ", " + fmt_fixed(xd[2], 3) + ")",
-                 fmt_fixed(best, 2)});
+                 dir, fmt_fixed(best, 2)});
     }
     t.print(std::cout);
     std::cout << "(the two dominant terms align with the two fibers; the\n"

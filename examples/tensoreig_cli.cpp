@@ -1,7 +1,7 @@
 // tensoreig_cli: end-user command-line driver for the batched eigensolver.
 //
 //   $ ./tensoreig_cli --input voxels.tesymb [--backend gpu|cpu|cpu-parallel]
-//                     [--tier general|precomputed|unrolled|jit|auto]
+//                     [--tier general|precomputed|blocked|unrolled|jit|auto]
 //                     [--starts 128] [--alpha 0] [--threads 4]
 //                     [--chunk 32] [--checkpoint run.tetc [--resume]]
 //                     [--spill-dir DIR] [--refine] [--max-peaks 4]
@@ -34,13 +34,26 @@
 
 namespace {
 
-te::kernels::Tier parse_tier(const std::string& s) {
-  using te::kernels::Tier;
-  if (s == "general") return Tier::kGeneral;
-  if (s == "precomputed") return Tier::kPrecomputed;
-  if (s == "unrolled") return Tier::kUnrolled;
-  TE_REQUIRE(false, "unknown tier '" << s << "'");
-  return Tier::kGeneral;
+void print_usage() {
+  std::cerr
+      << "usage: tensoreig_cli --input batch.{tesymb|tetc} [options]\n"
+         "  --backend gpu|cpu|cpu-parallel   execution backend (gpu)\n"
+         "  --tier general|precomputed|blocked|unrolled|jit|auto\n"
+         "                 kernel tier (unrolled); 'jit' compiles a\n"
+         "                 shape-specialized kernel via $TE_JIT_CC and\n"
+         "                 falls back to precomputed when unavailable\n"
+         "  --starts N     starting vectors per tensor (128)\n"
+         "  --alpha A      SS-HOPM shift; 'auto' = (m-1)||A||_F (0)\n"
+         "  --threads P    cpu-parallel worker count (4)\n"
+         "  --chunk C      tensors per scheduler chunk (32)\n"
+         "  --checkpoint F append completed chunks to a TETC WAL\n"
+         "  --resume       replay an existing checkpoint (else start fresh)\n"
+         "  --spill-dir D  warm-start precomputed tables from D\n"
+         "  --refine       Newton-polish each distinct eigenpair\n"
+         "  --max-peaks K  keep at most K pairs per tensor (all)\n"
+         "  --seed S       starting-vector seed (1)\n"
+         "  --save-results F  also write the raw results as a TETC container\n"
+         "  --output FILE  report path (stdout)\n";
 }
 
 te::batch::Backend parse_backend(const std::string& s) {
@@ -90,25 +103,16 @@ int main(int argc, char** argv) {
   CliArgs args(argc, argv);
   const auto input = args.get("input");
   if (!input) {
-    std::cerr
-        << "usage: tensoreig_cli --input batch.{tesymb|tetc} [options]\n"
-           "  --backend gpu|cpu|cpu-parallel   execution backend (gpu)\n"
-           "  --tier general|precomputed|unrolled|jit|auto\n"
-           "                 kernel tier (unrolled); 'jit' compiles a\n"
-           "                 shape-specialized kernel via $TE_JIT_CC and\n"
-           "                 falls back to precomputed when unavailable\n"
-           "  --starts N     starting vectors per tensor (128)\n"
-           "  --alpha A      SS-HOPM shift; 'auto' = (m-1)||A||_F (0)\n"
-           "  --threads P    cpu-parallel worker count (4)\n"
-           "  --chunk C      tensors per scheduler chunk (32)\n"
-           "  --checkpoint F append completed chunks to a TETC WAL\n"
-           "  --resume       replay an existing checkpoint (else start fresh)\n"
-           "  --spill-dir D  warm-start precomputed tables from D\n"
-           "  --refine       Newton-polish each distinct eigenpair\n"
-           "  --max-peaks K  keep at most K pairs per tensor (all)\n"
-           "  --seed S       starting-vector seed (1)\n"
-           "  --save-results F  also write the raw results as a TETC container\n"
-           "  --output FILE  report path (stdout)\n";
+    print_usage();
+    return 2;
+  }
+
+  // Validate the tier before any input is read; "auto" and "jit" are
+  // resolved once the shape is known.
+  const std::string tier_str = args.get_or("tier", std::string("unrolled"));
+  if (tier_str != "auto" && !kernels::tier_from_name(tier_str)) {
+    std::cerr << "error: unknown tier '" << tier_str << "'\n";
+    print_usage();
     return 2;
   }
 
@@ -131,7 +135,6 @@ int main(int argc, char** argv) {
   p.options.max_iterations = 200;
 
   kernels::Tier tier;
-  const std::string tier_str = args.get_or("tier", std::string("unrolled"));
   if (tier_str == "auto") {
     const auto report = kernels::autotune_tier(p.order, p.dim);
     tier = report.best;
@@ -147,7 +150,7 @@ int main(int argc, char** argv) {
                 << kernels::tier_name(tier) << "'\n";
     }
   } else {
-    tier = parse_tier(tier_str);
+    tier = *kernels::tier_from_name(tier_str);
   }
   const std::string backend_str = args.get_or("backend", std::string("gpu"));
   const batch::Backend backend = parse_backend(backend_str);

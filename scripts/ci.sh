@@ -44,7 +44,9 @@
 #      .clang-tidy over src/ and tools/, using the compile database of the
 #      pass-1 tree. Skipped with a notice on hosts without clang-tidy.
 #
-# Pass 1 additionally runs the te::serve soak smoke: bench_serve with chaos
+# Pass 1 additionally runs the obs contention gate (bench_obs_overhead: the
+# per-thread ns/solve of min(4, nproc) concurrent solving threads must stay
+# within 2x of one thread's) and the te::serve soak smoke: bench_serve with chaos
 # mode (every shard killed and restarted mid-drain) must report zero
 # lost/duplicated requests and a bitwise match against an uninterrupted
 # reference run, and its metrics artifact is gated on the fairness ratio,
@@ -129,6 +131,29 @@ mkdir -p build/ci_serve_wal
   --require-gauge serve.admission.rejected 1 \
   --require-quantile serve.request.latency_seconds 99 60
 
+# Obs contention gate: every solve records into the global registry, so
+# metrics that parallel workers write through a shared cache line make the
+# per-thread cost grow with the thread count. With per-thread cells the
+# ns/solve of each of min(4, nproc) concurrent threads must stay within 2x
+# of the single-thread figure. Long loops (--solves 200000, ~0.1 s per
+# thread) keep thread start-up placement out of the figure.
+echo "=== build: obs contention gate (bench_obs_overhead --threads) ==="
+cmake --build build -j "${JOBS}" --target bench_obs_overhead
+OBS_THREADS=$(( JOBS < 4 ? JOBS : 4 ))
+obs_ns() {
+  ./build/bench/bench_obs_overhead --solves 200000 --threads "$1" |
+    awk '/^best:/ { print $2 }'
+}
+OBS_NS_1="$(obs_ns 1)"
+OBS_NS_N="$(obs_ns "${OBS_THREADS}")"
+echo "ns/solve per thread: ${OBS_NS_1} at 1 thread, ${OBS_NS_N} at" \
+  "${OBS_THREADS} threads"
+awk -v one="${OBS_NS_1}" -v many="${OBS_NS_N}" \
+  'BEGIN { exit !(one > 0 && many <= 2 * one) }' || {
+  echo "FAIL: per-thread obs cost grows more than 2x under contention"
+  exit 1
+}
+
 # Pass 2: host-sanitized. RelWithDebInfo keeps stacks symbolized; native
 # arch off so the instrumented binaries stay portable across CI hosts.
 run_pass build-asan \
@@ -138,10 +163,12 @@ run_pass build-asan \
   "$@"
 
 # Pass 3: TSan over the concurrency surface (thread pool, batch backends,
-# streaming scheduler, stress suite, and the serve layer -- background pump
-# thread, shared cross-shard cache, socket front-end). Building only these
-# binaries keeps the pass affordable.
-TSAN_TARGETS=(parallel_test batch_test scheduler_test stress_test serve_test)
+# streaming scheduler, stress suite, the serve layer -- background pump
+# thread, shared cross-shard cache, socket front-end -- and the obs
+# registry's per-thread cells). Building only these binaries keeps the pass
+# affordable.
+TSAN_TARGETS=(parallel_test batch_test scheduler_test stress_test serve_test
+  obs_test)
 echo "=== build-tsan: configure ==="
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

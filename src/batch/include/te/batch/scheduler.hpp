@@ -542,7 +542,9 @@ class Scheduler {
         break;
       }
       case Backend::kCpuParallel: {
-        // Bulk dispatch: one chunked task per worker, one lock/wakeup.
+        // Bulk dispatch: one claiming job per worker, one lock/wakeup;
+        // workers take tensors one at a time, so uneven iteration counts
+        // do not leave a worker idle at the chunk barrier.
         pool().submit_range(
             c.begin, c.end, [&](std::int64_t b, std::int64_t e, int) {
               for (std::int64_t t = b; t < e; ++t) {

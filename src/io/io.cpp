@@ -147,6 +147,21 @@ std::uint32_t stored_payload_crc(std::span<const std::byte> h) {
   return crc;
 }
 
+/// The section's padding and payload end inside a file of `file_bytes`.
+/// Written without `payload_offset + payload_bytes`, which a corrupt
+/// length could wrap past 2^64.
+void check_payload_fits(const SectionInfo& info, std::uint64_t file_bytes,
+                        const std::string& container) {
+  const std::uint64_t left =
+      info.payload_offset <= file_bytes ? file_bytes - info.payload_offset : 0;
+  TE_IO_REQUIRE(info.payload_offset <= file_bytes &&
+                    info.payload_bytes <= left,
+                container, info.payload_offset,
+                "truncated payload: section wants "
+                    << info.payload_bytes << " bytes, file has only " << left
+                    << " left");
+}
+
 void check_padding(std::span<const std::byte> pad, std::uint64_t offset,
                    const std::string& container) {
   for (std::size_t i = 0; i < pad.size(); ++i) {
@@ -281,18 +296,16 @@ std::optional<SectionView> SectionWalker::next() {
         file_.subspan(static_cast<std::size_t>(header_off),
                       kSectionHeaderBytes),
         header_off, container_);
+    // Bound the whole section against the file before slicing any of it:
+    // a file cut inside the pre-payload padding must fail here, not read
+    // past the buffer.
+    check_payload_fits(info, file_.size(), container_);
     check_padding(
         file_.subspan(
             static_cast<std::size_t>(header_off + kSectionHeaderBytes),
             static_cast<std::size_t>(info.payload_offset -
                                      (header_off + kSectionHeaderBytes))),
         header_off + kSectionHeaderBytes, container_);
-    TE_IO_REQUIRE(
-        info.payload_offset + info.payload_bytes <= file_.size(), container_,
-        info.payload_offset,
-        "truncated payload: section wants "
-            << info.payload_bytes << " bytes, file has only "
-            << (file_.size() - info.payload_offset) << " left");
     const auto payload =
         file_.subspan(static_cast<std::size_t>(info.payload_offset),
                       static_cast<std::size_t>(info.payload_bytes));
@@ -361,6 +374,9 @@ std::optional<SectionData> StreamReader::next() {
         "truncated section header: " << is_.gcount() << " of "
                                      << kSectionHeaderBytes << " bytes");
     const auto info = check_section_header(h, header_off, path_);
+    // Bound the section before sizing any buffer from the header: a
+    // corrupt length must fail as IoError, not as a huge allocation.
+    check_payload_fits(info, file_bytes_, path_);
     // Pre-payload padding.
     std::vector<std::byte> pre(static_cast<std::size_t>(
         info.payload_offset - (header_off + kSectionHeaderBytes)));

@@ -7,15 +7,14 @@
 // and the batch backends pick a tier with a runtime enum while the kernels
 // themselves stay fully typed.
 
+#include <optional>
 #include <span>
-#include <string>
 #include <string_view>
 
 #include "te/kernels/blocked.hpp"
 #include "te/kernels/general.hpp"
 #include "te/kernels/jit_registry.hpp"
 #include "te/kernels/precomputed.hpp"
-#include "te/obs/obs.hpp"
 #include "te/tensor/symmetric_tensor.hpp"
 #include "te/util/op_counter.hpp"
 
@@ -62,32 +61,14 @@ inline constexpr int kTierCodeLimit = static_cast<int>(Tier::kJit) + 1;
   return "?";
 }
 
-#if TE_OBS_ENABLED
-namespace detail {
-/// Per-tier dispatch counters, name-resolved once: the per-call cost in the
-/// iteration hot loop is one relaxed atomic increment.
-struct DispatchMetrics {
-  obs::Counter* ttsv0_calls[kTierCodeLimit] = {};
-  obs::Counter* ttsv1_calls[kTierCodeLimit] = {};
-
-  static DispatchMetrics& get() {
-    static DispatchMetrics m = [] {
-      DispatchMetrics d;
-      for (const Tier t : kAllTiers) {
-        const std::string base(tier_name(t));
-        const int i = static_cast<int>(t);
-        d.ttsv0_calls[i] =
-            &obs::global().counter("kernels.ttsv0.calls." + base);
-        d.ttsv1_calls[i] =
-            &obs::global().counter("kernels.ttsv1.calls." + base);
-      }
-      return d;
-    }();
-    return m;
+/// Inverse of tier_name: the tier with that exact name, nullopt otherwise.
+[[nodiscard]] constexpr std::optional<Tier> tier_from_name(
+    std::string_view name) {
+  for (const Tier t : kAllTiers) {
+    if (tier_name(t) == name) return t;
   }
-};
-}  // namespace detail
-#endif  // TE_OBS_ENABLED
+  return std::nullopt;
+}
 
 /// Function-pointer record for one prebuilt unrolled shape.
 template <Real T>
@@ -147,10 +128,6 @@ class BoundKernels {
   [[nodiscard]] Tier tier() const { return tier_; }
 
   [[nodiscard]] T ttsv0(std::span<const T> x, OpCounts* ops = nullptr) const {
-    TE_OBS_ONLY(
-        detail::DispatchMetrics::get()
-            .ttsv0_calls[static_cast<int>(tier_)]
-            ->inc());
     switch (tier_) {
       case Tier::kGeneral:
         return ttsv0_general(*a_, x, ops);
@@ -173,10 +150,6 @@ class BoundKernels {
 
   void ttsv1(std::span<const T> x, std::span<T> y,
              OpCounts* ops = nullptr) const {
-    TE_OBS_ONLY(
-        detail::DispatchMetrics::get()
-            .ttsv1_calls[static_cast<int>(tier_)]
-            ->inc());
     switch (tier_) {
       case Tier::kGeneral:
         ttsv1_general(*a_, x, y, ops);

@@ -19,6 +19,7 @@
 
 #include "te/kernels/dispatch.hpp"
 #include "te/kernels/multi.hpp"
+#include "te/obs/obs.hpp"
 
 namespace te::kernels {
 
@@ -77,10 +78,10 @@ template <Real T>
 
 #if TE_OBS_ENABLED
 namespace detail {
-/// Multi-dispatch counters/gauges, name-resolved once (cf. DispatchMetrics).
+/// Lane-width gauges set when a facade is bound, name-resolved once. The
+/// ttsv call paths carry no instrumentation: solve_multi counts its block
+/// calls and records them once per run.
 struct MultiDispatchMetrics {
-  obs::Counter* ttsv0_calls[kTierCodeLimit] = {};
-  obs::Counter* ttsv1_calls[kTierCodeLimit] = {};
   obs::Gauge* width_by_tier[kTierCodeLimit] = {};
   obs::Gauge* simd_width;
 
@@ -89,12 +90,7 @@ struct MultiDispatchMetrics {
       MultiDispatchMetrics d;
       for (const Tier t : kAllTiers) {
         const std::string base(tier_name(t));
-        const int i = static_cast<int>(t);
-        d.ttsv0_calls[i] =
-            &obs::global().counter("kernels.ttsv0_multi.calls." + base);
-        d.ttsv1_calls[i] =
-            &obs::global().counter("kernels.ttsv1_multi.calls." + base);
-        d.width_by_tier[i] =
+        d.width_by_tier[static_cast<int>(t)] =
             &obs::global().gauge("kernels.multi.width." + base);
       }
       d.simd_width = &obs::global().gauge("kernels.multi.simd_width");
@@ -178,9 +174,6 @@ class MultiKernels {
     check_batch(x);
     TE_REQUIRE(static_cast<int>(out.size()) == width_,
                "output span must have one scalar per lane");
-    TE_OBS_ONLY(detail::MultiDispatchMetrics::get()
-                    .ttsv0_calls[static_cast<int>(tier_)]
-                    ->inc());
     if (general_ != nullptr) {
       general_->ttsv0(a_->order(), a_->dim(), a_->values().data(), x.data(),
                       out.data(), ops);
@@ -214,9 +207,6 @@ class MultiKernels {
              OpCounts* ops = nullptr) const {
     check_batch(x);
     check_batch(y);
-    TE_OBS_ONLY(detail::MultiDispatchMetrics::get()
-                    .ttsv1_calls[static_cast<int>(tier_)]
-                    ->inc());
     if (general_ != nullptr) {
       general_->ttsv1(a_->order(), a_->dim(), a_->values().data(), x.data(),
                       y.data(), ops);

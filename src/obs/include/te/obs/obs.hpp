@@ -6,7 +6,7 @@
 // counters. te::obs replaces the per-bench printf plumbing with one
 // registry-based metric model:
 //
-//   Counter   -- monotone int64 (relaxed atomic; safe from any thread)
+//   Counter   -- monotone int64 (safe from any thread)
 //   Gauge     -- last-written double (atomic; "current value" semantics)
 //   Histogram -- count/total/min/max plus log2 buckets of a double-valued
 //                observation stream (iteration counts, chunk latencies,
@@ -16,6 +16,13 @@
 //                a Counter& fetched once stays valid for the registry's
 //                lifetime, so hot paths resolve names once and then pay a
 //                single relaxed atomic op per event.
+//
+// Counters and histograms are sharded into kCells cache-line-padded cells.
+// A recording thread writes only the cell it leased on first use, so
+// workers solving in parallel never write a shared cache line; the readers
+// (value(), count(), buckets(), ...) fold over the cells. Cells stay atomic
+// because more than kCells live threads share them round-robin: sharing
+// costs contention, never a lost update.
 //
 // RAII trace spans (span.hpp) and JSON/CSV exporters (export.hpp) sit on
 // top. Everything compiles to empty inline stubs when the build sets
@@ -119,18 +126,49 @@ struct Snapshot {
 // Enabled implementations.
 // ---------------------------------------------------------------------------
 
-/// Monotone event counter. All operations are relaxed atomics: counters are
-/// statistics, not synchronization.
+namespace detail {
+
+/// Cells per counter or histogram: enough for every worker of a host-sized
+/// pool plus the serving threads around it.
+inline constexpr int kCells = 16;
+
+/// This thread's cell, -1 until leased. Constant-initialized, so reading it
+/// is one thread-pointer-relative load: no TLS wrapper call, no guard.
+inline constinit thread_local int tls_cell = -1;
+
+/// Lease a cell for the calling thread (a free one if any, else shared
+/// round-robin), store it in tls_cell and return it. The lease returns to
+/// the free set when the thread exits.
+int lease_cell();
+
+[[nodiscard]] inline int cell() {
+  const int c = tls_cell;
+  return c >= 0 ? c : lease_cell();
+}
+
+}  // namespace detail
+
+/// Monotone event counter. add() is one relaxed fetch_add on the calling
+/// thread's own cell; value() sums the cells. Counters are statistics, not
+/// synchronization.
 class Counter {
  public:
-  void inc() { v_.fetch_add(1, std::memory_order_relaxed); }
-  void add(std::int64_t n) { v_.fetch_add(n, std::memory_order_relaxed); }
+  void inc() { add(1); }
+  void add(std::int64_t n) {
+    cells_[static_cast<std::size_t>(detail::cell())].v.fetch_add(
+        n, std::memory_order_relaxed);
+  }
   [[nodiscard]] std::int64_t value() const {
-    return v_.load(std::memory_order_relaxed);
+    std::int64_t sum = 0;
+    for (const Cell& c : cells_) sum += c.v.load(std::memory_order_relaxed);
+    return sum;
   }
 
  private:
-  std::atomic<std::int64_t> v_{0};
+  struct alignas(64) Cell {
+    std::atomic<std::int64_t> v{0};
+  };
+  std::array<Cell, detail::kCells> cells_{};
 };
 
 /// Last-value gauge (queue depth, cache hit rate, occupancy fraction).
@@ -145,25 +183,19 @@ class Gauge {
   std::atomic<double> v_{0};
 };
 
-/// Streaming histogram: count/total/min/max plus log2 buckets. record() is
-/// lock-free (relaxed atomics per field); min/max use CAS loops. The small
-/// tearing window between fields is acceptable for statistics.
+/// Streaming histogram: count/total/min/max plus log2 buckets. record()
+/// updates the calling thread's own cell with relaxed atomics (total,
+/// min and max by CAS, which an unshared cell wins first try); the readers
+/// fold over the cells. The small tearing window between fields is
+/// acceptable for statistics.
 class Histogram {
  public:
   void record(double v);
 
-  [[nodiscard]] std::int64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double total() const {
-    return total_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double min() const {
-    return count() > 0 ? min_.load(std::memory_order_relaxed) : 0.0;
-  }
-  [[nodiscard]] double max() const {
-    return count() > 0 ? max_.load(std::memory_order_relaxed) : 0.0;
-  }
+  [[nodiscard]] std::int64_t count() const;
+  [[nodiscard]] double total() const;
+  [[nodiscard]] double min() const;
+  [[nodiscard]] double max() const;
   [[nodiscard]] double mean() const {
     const std::int64_t c = count();
     return c > 0 ? total() / static_cast<double>(c) : 0.0;
@@ -184,11 +216,14 @@ class Histogram {
   [[nodiscard]] static int bucket_index(double v);
 
  private:
-  std::atomic<std::int64_t> count_{0};
-  std::atomic<double> total_{0};
-  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
-  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
-  std::array<std::atomic<std::int64_t>, kHistogramBuckets> buckets_{};
+  struct alignas(64) Cell {
+    std::atomic<std::int64_t> count{0};
+    std::atomic<double> total{0};
+    std::atomic<double> min{std::numeric_limits<double>::infinity()};
+    std::atomic<double> max{-std::numeric_limits<double>::infinity()};
+    std::array<std::atomic<std::int64_t>, kHistogramBuckets> buckets{};
+  };
+  std::array<Cell, detail::kCells> cells_{};
 };
 
 /// Time-valued histogram; canonical unit: seconds.

@@ -39,6 +39,7 @@ double quantile_from_buckets(
 
 #if TE_OBS_ENABLED
 
+#include <bit>
 #include <chrono>
 #include <map>
 #include <mutex>
@@ -46,31 +47,116 @@ double quantile_from_buckets(
 namespace te::obs {
 
 // ---------------------------------------------------------------------------
+// Per-thread cells.
+// ---------------------------------------------------------------------------
+
+namespace detail {
+namespace {
+
+static_assert(kCells <= 64, "the lease bitmap is one 64-bit word");
+constexpr std::uint64_t kAllCells =
+    kCells == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << kCells) - 1;
+
+std::atomic<std::uint64_t> leased_cells{0};  ///< bit i: cell i held
+std::atomic<unsigned> next_shared_cell{0};
+
+/// Owns the calling thread's cell bit; gives it back at thread exit so
+/// pools created and joined over a process lifetime reuse cells instead of
+/// piling onto shared ones. Touched only on the lease path, never per event.
+struct CellLease {
+  int cell = -1;
+  ~CellLease() {
+    if (cell >= 0) {
+      leased_cells.fetch_and(~(std::uint64_t{1} << cell),
+                             std::memory_order_relaxed);
+    }
+  }
+};
+thread_local CellLease lease;
+
+}  // namespace
+
+int lease_cell() {
+  std::uint64_t held = leased_cells.load(std::memory_order_relaxed);
+  int c = -1;
+  while (const std::uint64_t avail = ~held & kAllCells) {
+    const int i = std::countr_zero(avail);
+    if (leased_cells.compare_exchange_weak(held, held | (std::uint64_t{1} << i),
+                                           std::memory_order_relaxed)) {
+      c = i;
+      lease.cell = i;
+      break;
+    }
+  }
+  if (c < 0) {
+    // Every cell is held: share one. Still exact, only contended.
+    c = static_cast<int>(
+        next_shared_cell.fetch_add(1, std::memory_order_relaxed) % kCells);
+  }
+  tls_cell = c;
+  return c;
+}
+
+}  // namespace detail
+
+// ---------------------------------------------------------------------------
 // Histogram.
 // ---------------------------------------------------------------------------
 
 void Histogram::record(double v) {
-  count_.fetch_add(1, std::memory_order_relaxed);
-  double t = total_.load(std::memory_order_relaxed);
-  while (!total_.compare_exchange_weak(t, t + v, std::memory_order_relaxed)) {
+  Cell& c = cells_[static_cast<std::size_t>(detail::cell())];
+  c.count.fetch_add(1, std::memory_order_relaxed);
+  double t = c.total.load(std::memory_order_relaxed);
+  while (!c.total.compare_exchange_weak(t, t + v, std::memory_order_relaxed)) {
   }
-  double lo = min_.load(std::memory_order_relaxed);
+  double lo = c.min.load(std::memory_order_relaxed);
   while (v < lo &&
-         !min_.compare_exchange_weak(lo, v, std::memory_order_relaxed)) {
+         !c.min.compare_exchange_weak(lo, v, std::memory_order_relaxed)) {
   }
-  double hi = max_.load(std::memory_order_relaxed);
+  double hi = c.max.load(std::memory_order_relaxed);
   while (v > hi &&
-         !max_.compare_exchange_weak(hi, v, std::memory_order_relaxed)) {
+         !c.max.compare_exchange_weak(hi, v, std::memory_order_relaxed)) {
   }
-  buckets_[static_cast<std::size_t>(bucket_index(v))].fetch_add(
+  c.buckets[static_cast<std::size_t>(bucket_index(v))].fetch_add(
       1, std::memory_order_relaxed);
+}
+
+std::int64_t Histogram::count() const {
+  std::int64_t n = 0;
+  for (const Cell& c : cells_) n += c.count.load(std::memory_order_relaxed);
+  return n;
+}
+
+double Histogram::total() const {
+  double t = 0;
+  for (const Cell& c : cells_) t += c.total.load(std::memory_order_relaxed);
+  return t;
+}
+
+double Histogram::min() const {
+  if (count() == 0) return 0.0;
+  double lo = std::numeric_limits<double>::infinity();
+  for (const Cell& c : cells_) {
+    lo = std::min(lo, c.min.load(std::memory_order_relaxed));
+  }
+  return lo;
+}
+
+double Histogram::max() const {
+  if (count() == 0) return 0.0;
+  double hi = -std::numeric_limits<double>::infinity();
+  for (const Cell& c : cells_) {
+    hi = std::max(hi, c.max.load(std::memory_order_relaxed));
+  }
+  return hi;
 }
 
 std::array<std::int64_t, kHistogramBuckets> Histogram::buckets() const {
   std::array<std::int64_t, kHistogramBuckets> out{};
-  for (int i = 0; i < kHistogramBuckets; ++i) {
-    out[static_cast<std::size_t>(i)] =
-        buckets_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
+  for (const Cell& c : cells_) {
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] += c.buckets[i].load(std::memory_order_relaxed);
+    }
   }
   return out;
 }

@@ -1,11 +1,14 @@
 #pragma once
 // A small fixed-size thread pool with a blocking parallel_for.
 //
-// The CPU batch backend parallelizes over independent tensors exactly as the
-// paper does with `omp parallel for` (Section V-E): the iteration space is
-// divided into contiguous chunks, one per worker, because every tensor costs
-// roughly the same and contiguous chunks preserve memory locality. Work
-// stealing would be over-engineering here.
+// The CPU batch backend parallelizes over independent tensors as the paper
+// does with `omp parallel for` (Section V-E). Tensors do not cost the same:
+// SS-HOPM iteration counts per tensor vary several-fold, so a static split
+// leaves workers idle at every chunk barrier. The claim rule is therefore
+// dynamic and index-granular: each worker repeatedly takes the next
+// unclaimed index from one shared atomic cursor and runs it, until the
+// range is exhausted (OpenMP's schedule(dynamic, 1)). The one atomic
+// increment per index is noise next to a tensor's solves.
 //
 // The pool is also usable with more workers than hardware threads -- the
 // functional results are identical, which is what the tests rely on when
@@ -38,23 +41,19 @@ class ThreadPool {
     return static_cast<int>(workers_.size());
   }
 
-  /// Run f(i) for i in [0, count), distributed over the pool in contiguous
-  /// chunks; blocks until every iteration has finished. Exceptions thrown by
-  /// f propagate to the caller (first one wins).
+  /// Run f(i) for i in [0, count), distributed over the pool by the claim
+  /// rule above; blocks until every iteration has finished. Exceptions
+  /// thrown by f propagate to the caller (first one wins).
   void parallel_for(std::int64_t count,
                     const std::function<void(std::int64_t)>& f);
 
-  /// Run f(chunk_begin, chunk_end, worker_index) once per chunk; blocks.
-  void parallel_chunks(
-      std::int64_t count,
-      const std::function<void(std::int64_t, std::int64_t, int)>& f);
-
-  /// Bulk submission: partition [first, last) into one contiguous chunk per
-  /// worker and run f(chunk_begin, chunk_end, worker_index) for each;
-  /// blocks until done. Unlike per-job submit(), all chunks are enqueued
-  /// under a single lock acquisition with one wakeup broadcast, so a
-  /// dispatch of P chunks costs one mutex round-trip instead of P.
-  /// Exceptions thrown by f propagate to the caller (first one wins).
+  /// Bulk submission: run f(i, i + 1, worker) for every i in [first, last),
+  /// each index claimed by exactly one worker; blocks until done. `worker`
+  /// is in [0, num_threads()) and names the claiming job, so per-worker
+  /// scratch indexed by it is never shared. All jobs are enqueued under a
+  /// single lock acquisition with one wakeup broadcast. Exceptions thrown by
+  /// f propagate to the caller (first one wins); the throwing worker stops
+  /// claiming, the others drain the rest of the range.
   void submit_range(
       std::int64_t first, std::int64_t last,
       const std::function<void(std::int64_t, std::int64_t, int)>& f);

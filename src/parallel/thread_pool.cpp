@@ -1,6 +1,7 @@
 #include "te/parallel/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 namespace te {
 
@@ -67,42 +68,38 @@ void ThreadPool::wait_idle() {
 void ThreadPool::submit_range(
     std::int64_t first, std::int64_t last,
     const std::function<void(std::int64_t, std::int64_t, int)>& f) {
-  // Empty range: a complete no-op -- no zero-length chunks enqueued, no
-  // lock taken, no wakeup broadcast, f never called.
+  // Empty range: a complete no-op -- no jobs enqueued, no lock taken, no
+  // wakeup broadcast, f never called.
   if (last <= first) return;
-  const std::int64_t count = last - first;
-  const int p = num_threads();
-  const std::int64_t chunk = (count + p - 1) / p;
-  int launched = 0;
+  // One claiming job per worker, never more jobs than indices. The cursor
+  // outlives every job: wait_idle() returns only once all have finished.
+  const int jobs =
+      static_cast<int>(std::min<std::int64_t>(last - first, num_threads()));
+  std::atomic<std::int64_t> cursor{first};
   {
     std::lock_guard lock(mutex_);
-    for (std::int64_t begin = first; begin < last; begin += chunk) {
-      const std::int64_t end = std::min(begin + chunk, last);
-      const int worker = launched++;
-      queue_.push_back([&f, begin, end, worker] { f(begin, end, worker); });
+    for (int worker = 0; worker < jobs; ++worker) {
+      queue_.push_back([&f, &cursor, last, worker] {
+        for (std::int64_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+             i < last; i = cursor.fetch_add(1, std::memory_order_relaxed)) {
+          f(i, i + 1, worker);
+        }
+      });
     }
   }
-  // Wake exactly as many workers as there are chunks; a full broadcast is
+  // Wake exactly as many workers as there are jobs; a full broadcast is
   // only worth it when every worker has one.
-  if (launched >= p) {
+  if (jobs >= num_threads()) {
     cv_job_.notify_all();
   } else {
-    for (int i = 0; i < launched; ++i) cv_job_.notify_one();
+    for (int i = 0; i < jobs; ++i) cv_job_.notify_one();
   }
   wait_idle();
 }
 
-void ThreadPool::parallel_chunks(
-    std::int64_t count,
-    const std::function<void(std::int64_t, std::int64_t, int)>& f) {
-  submit_range(0, count, f);
-}
-
 void ThreadPool::parallel_for(std::int64_t count,
                               const std::function<void(std::int64_t)>& f) {
-  parallel_chunks(count, [&f](std::int64_t begin, std::int64_t end, int) {
-    for (std::int64_t i = begin; i < end; ++i) f(i);
-  });
+  submit_range(0, count, [&f](std::int64_t i, std::int64_t, int) { f(i); });
 }
 
 }  // namespace te

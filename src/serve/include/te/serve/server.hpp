@@ -584,7 +584,9 @@ class Server {
                         c == '_' || c == '-' || c == '.';
       label += safe ? c : '_';
     }
-    if (label.empty()) label = "_";
+    // push_back, not `label = "_"`: the literal assignment inlines a
+    // replace whose overlap check trips a GCC 12 -Wrestrict false positive.
+    if (label.empty()) label.push_back('_');
     if (metric_labels_.count(label) == 0) {
       if (metric_labels_.size() >= kMaxTenantMetricLabels) return "other";
       metric_labels_.insert(label);

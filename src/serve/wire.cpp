@@ -202,14 +202,11 @@ std::optional<double> wire_number(const std::string& json,
 }
 
 std::optional<kernels::Tier> wire_tier(const std::string& name) {
-  constexpr kernels::Tier kAll[] = {
-      kernels::Tier::kGeneral,  kernels::Tier::kPrecomputed,
-      kernels::Tier::kBlocked,  kernels::Tier::kUnrolled,
-  };
-  for (const auto t : kAll) {
-    if (name == kernels::tier_name(t)) return t;
-  }
-  return std::nullopt;
+  // jit needs a runtime compile and admission proof per shape, which a
+  // wire request cannot trigger; the wire serves the prebuilt tiers only.
+  const auto tier = kernels::tier_from_name(name);
+  if (tier == kernels::Tier::kJit) return std::nullopt;
+  return tier;
 }
 
 std::string handle_line(Server<float>& server, const std::string& line) {

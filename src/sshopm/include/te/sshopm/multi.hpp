@@ -93,6 +93,8 @@ template <Real T>
   std::int64_t live_lane_iters = 0;
   std::int64_t wasted_lane_iters = 0;
   std::int64_t blocks = 0;
+  std::int64_t ttsv0_calls = 0;  ///< block calls, recorded once per run
+  std::int64_t ttsv1_calls = 0;
 
   for (std::size_t base = 0; base < starts.size();
        base += static_cast<std::size_t>(width)) {
@@ -128,6 +130,7 @@ template <Real T>
 
     if (any_active()) {
       k.ttsv0(x, {out0.data(), out0.size()}, ops);
+      ++ttsv0_calls;
       for (int w = 0; w < lanes; ++w) {
         if (!active[w]) continue;
         Result<T>& r = results[base + static_cast<std::size_t>(w)];
@@ -159,6 +162,7 @@ template <Real T>
       // xhat = +-(A x^{m-1} + alpha x) per live lane, then normalize --
       // the contiguous loop below is solve()'s, verbatim, on r.x.
       k.ttsv1(x, y, ops);
+      ++ttsv1_calls;
       for (int w = 0; w < lanes; ++w) {
         if (!active[w]) continue;
         Result<T>& r = results[base + static_cast<std::size_t>(w)];
@@ -182,6 +186,7 @@ template <Real T>
       if (!any_active()) break;
 
       k.ttsv0(x, {out0.data(), out0.size()}, ops);
+      ++ttsv0_calls;
       for (int w = 0; w < lanes; ++w) {
         if (!active[w]) continue;
         Result<T>& r = results[base + static_cast<std::size_t>(w)];
@@ -225,6 +230,10 @@ template <Real T>
   }
 
   TE_OBS_ONLY({
+    const auto tier = static_cast<std::size_t>(k.tier());
+    auto& calls = detail::SolveMetrics::get();
+    calls.ttsv0_multi_calls[tier]->add(ttsv0_calls);
+    calls.ttsv1_multi_calls[tier]->add(ttsv1_calls);
     auto& m = detail::MultiSolveMetrics::get();
     m.blocks.add(blocks);
     m.lane_iterations.add(live_lane_iters);
@@ -239,6 +248,8 @@ template <Real T>
   (void)blocks;
   (void)live_lane_iters;
   (void)wasted_lane_iters;
+  (void)ttsv0_calls;
+  (void)ttsv1_calls;
   return results;
 }
 

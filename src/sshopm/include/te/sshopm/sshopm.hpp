@@ -17,6 +17,7 @@
 
 #include <cmath>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -92,8 +93,8 @@ template <Real T>
 #if TE_OBS_ENABLED
 namespace detail {
 /// Name-resolved-once handles into the global registry: the per-run cost
-/// of instrumentation is a handful of relaxed atomic ops, never a string
-/// or a map lookup.
+/// of instrumentation is a handful of relaxed atomic ops on the calling
+/// thread's own cells, never a string or a map lookup.
 struct SolveMetrics {
   obs::Counter& runs;
   obs::Counter& converged;
@@ -103,18 +104,39 @@ struct SolveMetrics {
   obs::Counter& trace_non_monotone;
   obs::Histogram& iterations;    ///< unit: iterations, not seconds
   obs::Histogram& lambda_final;  ///< final Rayleigh quotient (finite runs)
+  /// Kernel calls made by SS-HOPM runs, per tier code
+  /// (kernels.ttsv{0,1}[_multi].calls.<tier>). The kernels themselves carry
+  /// no instrumentation; the solvers add each run's exact counts once.
+  obs::Counter* ttsv0_calls[kernels::kTierCodeLimit] = {};
+  obs::Counter* ttsv1_calls[kernels::kTierCodeLimit] = {};
+  obs::Counter* ttsv0_multi_calls[kernels::kTierCodeLimit] = {};
+  obs::Counter* ttsv1_multi_calls[kernels::kTierCodeLimit] = {};
 
   static SolveMetrics& get() {
-    static SolveMetrics m{
-        obs::global().counter("sshopm.solve.runs"),
-        obs::global().counter("sshopm.solve.converged"),
-        obs::global().counter("sshopm.solve.failures.max_iterations"),
-        obs::global().counter("sshopm.solve.failures.degenerate_iterate"),
-        obs::global().counter("sshopm.solve.failures.non_finite_lambda"),
-        obs::global().counter("sshopm.solve.trace.non_monotone_steps"),
-        obs::global().histogram("sshopm.solve.iterations"),
-        obs::global().histogram("sshopm.solve.lambda_final"),
-    };
+    static SolveMetrics m = [] {
+      auto& g = obs::global();
+      SolveMetrics d{
+          g.counter("sshopm.solve.runs"),
+          g.counter("sshopm.solve.converged"),
+          g.counter("sshopm.solve.failures.max_iterations"),
+          g.counter("sshopm.solve.failures.degenerate_iterate"),
+          g.counter("sshopm.solve.failures.non_finite_lambda"),
+          g.counter("sshopm.solve.trace.non_monotone_steps"),
+          g.histogram("sshopm.solve.iterations"),
+          g.histogram("sshopm.solve.lambda_final"),
+      };
+      for (const kernels::Tier t : kernels::kAllTiers) {
+        const std::string base(kernels::tier_name(t));
+        const auto i = static_cast<std::size_t>(t);
+        d.ttsv0_calls[i] = &g.counter("kernels.ttsv0.calls." + base);
+        d.ttsv1_calls[i] = &g.counter("kernels.ttsv1.calls." + base);
+        d.ttsv0_multi_calls[i] =
+            &g.counter("kernels.ttsv0_multi.calls." + base);
+        d.ttsv1_multi_calls[i] =
+            &g.counter("kernels.ttsv1_multi.calls." + base);
+      }
+      return d;
+    }();
     return m;
   }
 };
@@ -155,6 +177,24 @@ inline void record_solve(const Result<T>& r, const Options& opt) {
     if (bad > 0) m.trace_non_monotone.add(bad);
   }
 }
+
+/// record_solve for a solve() run on `tier`, which also adds the run's
+/// kernel calls. solve() calls ttsv1 once per iteration and ttsv0 once up
+/// front plus once per iteration whose iterate normalized -- every
+/// iteration but a kDegenerateIterate run's last. A degenerate start
+/// (iterations 0) therefore made no calls at all.
+template <Real T>
+inline void record_solve(const Result<T>& r, const Options& opt,
+                         kernels::Tier tier) {
+  record_solve(r, opt);
+  SolveMetrics& m = SolveMetrics::get();
+  const auto i = static_cast<std::size_t>(tier);
+  const std::int64_t ttsv1 = r.iterations;
+  const std::int64_t ttsv0 =
+      ttsv1 + 1 - (r.failure == FailureReason::kDegenerateIterate ? 1 : 0);
+  m.ttsv0_calls[i]->add(ttsv0);
+  m.ttsv1_calls[i]->add(ttsv1);
+}
 }  // namespace detail
 #endif  // TE_OBS_ENABLED
 
@@ -180,7 +220,7 @@ template <Real T>
   std::span<T> x(r.x.data(), r.x.size());
   if (try_normalize(x) == T(0)) {
     r.failure = FailureReason::kDegenerateIterate;
-    TE_OBS_ONLY(detail::record_solve(r, opt));
+    TE_OBS_ONLY(detail::record_solve(r, opt, k.tier()));
     return r;
   }
 
@@ -191,7 +231,7 @@ template <Real T>
   if (!std::isfinite(static_cast<double>(lambda))) {
     r.lambda = lambda;
     r.failure = FailureReason::kNonFiniteLambda;
-    TE_OBS_ONLY(detail::record_solve(r, opt));
+    TE_OBS_ONLY(detail::record_solve(r, opt, k.tier()));
     return r;
   }
 
@@ -236,7 +276,7 @@ template <Real T>
   if (!r.converged && r.failure == FailureReason::kNone) {
     r.failure = FailureReason::kMaxIterations;
   }
-  TE_OBS_ONLY(detail::record_solve(r, opt));
+  TE_OBS_ONLY(detail::record_solve(r, opt, k.tier()));
   return r;
 }
 

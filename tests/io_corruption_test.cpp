@@ -103,6 +103,30 @@ TEST(IoCorruption, EveryTruncationIsSafe) {
   }
 }
 
+TEST(IoCorruption, OversizedPayloadLengthIsAPreciseError) {
+  // A payload length near 2^64 with a valid header CRC: the bound check
+  // must reject it before any slice or buffer is sized from it, and the
+  // sum payload_offset + payload_bytes must not wrap past the check.
+  TmpFile f("huge.tetc");
+  auto image = make_valid_image(f.path);
+  const std::size_t h = static_cast<std::size_t>(align_up(kFileHeaderBytes));
+  for (const std::uint64_t lie :
+       {~std::uint64_t{0} - 15, std::uint64_t{1} << 62}) {
+    std::memcpy(image.data() + h + 16, &lie, sizeof lie);
+    const std::uint32_t crc =
+        crc32(std::span<const std::byte>(image.data() + h, 28));
+    std::memcpy(image.data() + h + 28, &crc, sizeof crc);
+    EXPECT_THROW((void)strict_walk(image), IoError) << lie;
+    {
+      std::ofstream out(f.path, std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(image.data()),
+                static_cast<std::streamsize>(image.size()));
+    }
+    StreamReader reader(f.path);
+    EXPECT_THROW((void)reader.next(), IoError) << lie;
+  }
+}
+
 TEST(IoCorruption, WrongMagicAndShortFilesAreRejected) {
   TmpFile f("magic.tetc");
   auto image = make_valid_image(f.path);

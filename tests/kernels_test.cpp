@@ -333,6 +333,17 @@ TEST(Dispatch, RegistryContainsApplicationShapes) {
   EXPECT_EQ(find_unrolled<float>(9, 9), nullptr);
 }
 
+TEST(Dispatch, TierNamesRoundTrip) {
+  for (const Tier t : kAllTiers) {
+    EXPECT_EQ(tier_from_name(tier_name(t)), t) << tier_name(t);
+  }
+  // Only exact names: no case folding, no removed tiers, no "auto".
+  for (const char* bad : {"", "General", "cse", "blocked_par", "auto", "?"}) {
+    EXPECT_FALSE(tier_from_name(bad).has_value()) << bad;
+  }
+  static_assert(tier_from_name("blocked") == Tier::kBlocked);
+}
+
 TEST(Dispatch, BoundKernelsAgreeAcrossTiers) {
   CounterRng rng(400);
   auto a = random_symmetric_tensor<double>(rng, 0, 4, 3);

@@ -5,18 +5,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "te/kernels/dispatch.hpp"
+#include "te/kernels/multi_dispatch.hpp"
 #include "te/obs/export.hpp"
 #include "te/obs/obs.hpp"
 #include "te/obs/span.hpp"
+#include "te/sshopm/multi.hpp"
 #include "te/sshopm/sshopm.hpp"
 #include "te/tensor/generators.hpp"
 #include "te/util/rng.hpp"
+#include "te/util/sphere.hpp"
 
 namespace te {
 namespace {
@@ -163,6 +168,40 @@ TEST(ObsRegistry, ThreadedCountersDontLoseIncrements) {
   EXPECT_EQ(c.value(), static_cast<std::int64_t>(kThreads) * kIncs);
 }
 
+TEST(ObsHistogram, ThreadedRecordsMatchOneThread) {
+  // Dyadic values keep every partial sum exact, so the per-cell totals
+  // must fold to the single-thread total bit for bit.
+  constexpr int kThreads = 4;
+  constexpr int kRecords = 100000;
+  const auto value = [](int t, int i) {
+    return std::ldexp(static_cast<double>((t * kRecords + i) % 1000 + 1),
+                      -20);
+  };
+  obs::Registry reg;
+  obs::Histogram& threaded = reg.histogram("threaded");
+  obs::Histogram& serial = reg.histogram("serial");
+  std::vector<std::thread> ts;
+  ts.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&, t] {
+      for (int i = 0; i < kRecords; ++i) threaded.record(value(t, i));
+    });
+  }
+  for (auto& t : ts) t.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kRecords; ++i) serial.record(value(t, i));
+  }
+  EXPECT_EQ(threaded.count(), std::int64_t{kThreads} * kRecords);
+  EXPECT_EQ(threaded.count(), serial.count());
+  EXPECT_EQ(threaded.total(), serial.total());
+  EXPECT_EQ(threaded.min(), serial.min());
+  EXPECT_EQ(threaded.max(), serial.max());
+  EXPECT_EQ(threaded.buckets(), serial.buckets());
+  for (const double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(threaded.quantile(q), serial.quantile(q)) << "q " << q;
+  }
+}
+
 TEST(ObsSpan, NestingBuildsDottedPathsAndDepths) {
   obs::Registry reg;
   {
@@ -194,7 +233,8 @@ TEST(ObsSpan, NestingBuildsDottedPathsAndDepths) {
 TEST(ObsSpan, RingIsBoundedAndKeepsNewest) {
   obs::Registry reg(/*span_capacity=*/4);
   for (int i = 0; i < 10; ++i) {
-    reg.record_span("s" + std::to_string(i), 0, static_cast<double>(i), 0.5);
+    reg.record_span(std::string("s").append(std::to_string(i)), 0,
+                    static_cast<double>(i), 0.5);
   }
   const obs::Snapshot s = reg.snapshot();
   ASSERT_EQ(s.spans.size(), 4u);
@@ -222,6 +262,85 @@ TEST(ObsInstrumentation, SolveFeedsGlobalRegistry) {
   // One setup ttsv0 plus one per iteration.
   EXPECT_EQ(reg.counter("kernels.ttsv0.calls.general").value(),
             t0 + 1 + r.iterations);
+}
+
+TEST(ObsInstrumentation, SolveCountsKernelCallsOnEveryExit) {
+  auto& reg = obs::global();
+  auto& c0 = reg.counter("kernels.ttsv0.calls.general");
+  auto& c1 = reg.counter("kernels.ttsv1.calls.general");
+  sshopm::Options opt;
+  opt.alpha = 2.0;
+
+  // A zero start is rejected before any kernel call.
+  const auto a = random_symmetric_tensor<double>(CounterRng(3), 17, 4, 3);
+  kernels::BoundKernels<double> k(a, kernels::Tier::kGeneral);
+  const std::vector<double> zero = {0.0, 0.0, 0.0};
+  std::int64_t before0 = c0.value();
+  std::int64_t before1 = c1.value();
+  auto r = sshopm::solve(k, {zero.data(), zero.size()}, opt);
+  ASSERT_EQ(r.failure, sshopm::FailureReason::kDegenerateIterate);
+  EXPECT_EQ(c0.value(), before0);
+  EXPECT_EQ(c1.value(), before1);
+
+  // A poisoned tensor stops after the setup ttsv0.
+  auto poisoned = a;
+  poisoned.values()[0] = std::numeric_limits<double>::quiet_NaN();
+  kernels::BoundKernels<double> kp(poisoned, kernels::Tier::kGeneral);
+  const std::vector<double> x0 = {0.6, 0.0, 0.8};
+  before0 = c0.value();
+  before1 = c1.value();
+  r = sshopm::solve(kp, {x0.data(), x0.size()}, opt);
+  ASSERT_EQ(r.failure, sshopm::FailureReason::kNonFiniteLambda);
+  EXPECT_EQ(c0.value(), before0 + 1);
+  EXPECT_EQ(c1.value(), before1);
+
+  // A budget-limited run: one ttsv1 and one ttsv0 per iteration.
+  opt.max_iterations = 3;
+  opt.tolerance = 0;
+  before0 = c0.value();
+  before1 = c1.value();
+  r = sshopm::solve(k, {x0.data(), x0.size()}, opt);
+  ASSERT_EQ(r.failure, sshopm::FailureReason::kMaxIterations);
+  EXPECT_EQ(c0.value(), before0 + 4);
+  EXPECT_EQ(c1.value(), before1 + 3);
+}
+
+TEST(ObsInstrumentation, SolveMultiCountsBlockCalls) {
+  auto& reg = obs::global();
+  auto& m0 = reg.counter("kernels.ttsv0_multi.calls.general");
+  auto& m1 = reg.counter("kernels.ttsv1_multi.calls.general");
+  auto& s0 = reg.counter("kernels.ttsv0.calls.general");
+  const auto a = random_symmetric_tensor<double>(CounterRng(3), 17, 4, 3);
+  constexpr int kWidth = 4;
+  const kernels::MultiKernels<double> k(a, kernels::Tier::kGeneral, nullptr,
+                                        kWidth);
+  // Two full blocks plus a partial one.
+  const auto starts = random_sphere_batch<double>(CounterRng(5), 0, 10, 3);
+  sshopm::Options opt;
+  opt.alpha = 2.0;
+  const std::int64_t before0 = m0.value();
+  const std::int64_t before1 = m1.value();
+  const std::int64_t scalar0 = s0.value();
+  const auto rs = sshopm::solve_multi(
+      k, std::span<const std::vector<double>>(starts), opt);
+
+  // Every lane converges, so a block runs as many iterations as its
+  // slowest lane: that many ttsv1 calls, plus the setup ttsv0.
+  std::int64_t want0 = 0;
+  std::int64_t want1 = 0;
+  for (std::size_t base = 0; base < rs.size(); base += kWidth) {
+    int block_iters = 0;
+    for (std::size_t w = base; w < std::min(rs.size(), base + kWidth); ++w) {
+      ASSERT_TRUE(rs[w].converged) << "start " << w;
+      block_iters = std::max(block_iters, rs[w].iterations);
+    }
+    want0 += 1 + block_iters;
+    want1 += block_iters;
+  }
+  EXPECT_EQ(m0.value(), before0 + want0);
+  EXPECT_EQ(m1.value(), before1 + want1);
+  // Block calls are counted once, never again per lane as scalar calls.
+  EXPECT_EQ(s0.value(), scalar0);
 }
 
 #else  // !TE_OBS_ENABLED

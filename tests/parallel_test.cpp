@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -40,7 +42,7 @@ TEST(ThreadPool, ChunksAreContiguousAndCoverRange) {
   ThreadPool pool(3);
   std::mutex mu;
   std::vector<std::pair<std::int64_t, std::int64_t>> chunks;
-  pool.parallel_chunks(10, [&](std::int64_t b, std::int64_t e, int) {
+  pool.submit_range(0, 10, [&](std::int64_t b, std::int64_t e, int) {
     std::lock_guard lock(mu);
     chunks.emplace_back(b, e);
   });
@@ -200,7 +202,6 @@ TEST(ThreadPoolRange, EmptyRangeIsCompleteNoOp) {
   int calls = 0;
   pool.submit_range(5, 5, [&](std::int64_t, std::int64_t, int) { ++calls; });
   pool.submit_range(7, 3, [&](std::int64_t, std::int64_t, int) { ++calls; });
-  pool.parallel_chunks(0, [&](std::int64_t, std::int64_t, int) { ++calls; });
   pool.parallel_for(0, [&](std::int64_t) { ++calls; });
   EXPECT_EQ(calls, 0);
   // The pool still works afterwards.
@@ -209,6 +210,50 @@ TEST(ThreadPoolRange, EmptyRangeIsCompleteNoOp) {
     sum += static_cast<int>(i);
   });
   EXPECT_EQ(sum.load(), 45);
+}
+
+TEST(ThreadPoolRange, SkewedCostIsClaimedDynamically) {
+  // Index 0 is the expensive one: it does not finish until every other
+  // index has run. A static split would strand the indices queued behind
+  // it on the same worker; claiming lets the other workers drain them.
+  constexpr int kThreads = 4;
+  constexpr std::int64_t kCount = 64;
+  ThreadPool pool(kThreads);
+  std::vector<std::atomic<int>> hits(kCount);
+  std::atomic<std::int64_t> others_done{0};
+  std::mutex mu;
+  std::vector<std::thread::id> owner(kThreads);
+  bool drained = false;
+  pool.submit_range(0, kCount, [&](std::int64_t b, std::int64_t e,
+                                   int worker) {
+    ASSERT_GE(worker, 0);
+    ASSERT_LT(worker, pool.num_threads());
+    {
+      // A worker id names one claiming job, i.e. one thread.
+      std::lock_guard lock(mu);
+      auto& id = owner[static_cast<std::size_t>(worker)];
+      if (id == std::thread::id{}) id = std::this_thread::get_id();
+      EXPECT_EQ(id, std::this_thread::get_id());
+    }
+    for (std::int64_t i = b; i < e; ++i) {
+      hits[static_cast<std::size_t>(i)].fetch_add(1);
+      if (i == 0) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(20);
+        while (others_done.load() < kCount - 1 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        drained = others_done.load() == kCount - 1;
+      } else {
+        others_done.fetch_add(1);
+      }
+    }
+  });
+  EXPECT_TRUE(drained);
+  for (std::int64_t i = 0; i < kCount; ++i) {
+    EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "index " << i;
+  }
 }
 
 }  // namespace

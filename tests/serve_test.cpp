@@ -488,6 +488,8 @@ TEST(ServeWire, ParsesFlatFields) {
   EXPECT_FALSE(wire_number(line, "tenant").has_value());
   EXPECT_EQ(wire_tier("blocked").value(), Tier::kBlocked);
   EXPECT_FALSE(wire_tier("warp9").has_value());
+  // jit is a real tier, but a wire request cannot trigger its compile.
+  EXPECT_FALSE(wire_tier("jit").has_value());
 }
 
 TEST(ServeWire, RemovedTierNamesGetUnknownTierError) {

@@ -43,9 +43,9 @@ TEST(ThreadPoolStress, EmptySingletonAndChunkEdgeCases) {
   });
   EXPECT_EQ(one.load(), 1);
 
-  // parallel_chunks with fewer items than workers: chunks stay non-empty.
+  // submit_range with fewer items than workers: chunks stay non-empty.
   std::atomic<int> covered{0};
-  pool.parallel_chunks(3, [&](std::int64_t b, std::int64_t e, int worker) {
+  pool.submit_range(0, 3, [&](std::int64_t b, std::int64_t e, int worker) {
     EXPECT_LT(b, e);
     EXPECT_GE(worker, 0);
     EXPECT_LT(worker, 16);
@@ -54,7 +54,7 @@ TEST(ThreadPoolStress, EmptySingletonAndChunkEdgeCases) {
   EXPECT_EQ(covered.load(), 3);
 
   std::atomic<int> zero_chunks{0};
-  pool.parallel_chunks(0, [&](std::int64_t, std::int64_t, int) {
+  pool.submit_range(0, 0, [&](std::int64_t, std::int64_t, int) {
     zero_chunks.fetch_add(1);
   });
   EXPECT_EQ(zero_chunks.load(), 0);

@@ -25,7 +25,9 @@ namespace te::test {
   }
   // Parameterized test names contain '/'; keep the stem one component.
   std::replace(stem.begin(), stem.end(), '/', '_');
-  stem += "_" + std::to_string(::getpid()) + "_";
+  stem += '_';
+  stem += std::to_string(::getpid());
+  stem += '_';
   stem += name;
   return (std::filesystem::temp_directory_path() / stem).string();
 }
